@@ -71,61 +71,51 @@ SHARC_BENCH_REPS=1 "$BUILD/src/serve/sharc-serve" \
 grep -q "cause:" "$BUILD/serve_spans_anatomy.txt"
 head -14 "$BUILD/serve_spans_anatomy.txt"
 
+# One serve overhead gate: the same run twice, baseline then armed, with
+# handler CPU (thread-CPU accounted, so scheduler noise cancels) held to
+# within 2%. Same retry discipline as the micro gates: fresh adjacent
+# baselines, pass on any of 4 attempts.
+# usage: gate_serve <label> <run args> <base.json> <armed.json>
+#                   <base flags> [armed flags...]
+gate_serve() {
+  LABEL=$1 RUN=$2 BASE=$BUILD/$3 ARMED=$BUILD/$4 BASE_FLAGS=$5
+  shift 5
+  ATTEMPT=1
+  while :; do
+    # shellcheck disable=SC2086
+    SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $RUN $BASE_FLAGS \
+      --quiet --json "$BASE"
+    # shellcheck disable=SC2086
+    SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $RUN "$@" \
+      --quiet --json "$ARMED"
+    if "$BUILD/src/obs/sharc-trace" check-overhead --max-pct 2 \
+         "$BASE" "$ARMED"; then
+      return 0
+    fi
+    if [ "$ATTEMPT" -ge 4 ]; then
+      echo "ci.sh: $LABEL overhead gate: over 2% in all $ATTEMPT attempts"
+      return 1
+    fi
+    ATTEMPT=$((ATTEMPT + 1))
+    echo "ci.sh: $LABEL overhead gate: retrying (attempt $ATTEMPT)"
+  done
+}
+SERVE_RUN="--clients 3000 --rate 200000 --service-us 200 --workers 3"
+
 echo "== span tracing overhead gate =="
 # Arming --trace-out on the checked server must keep handler CPU within
 # 2% of the identical checked run with spans disabled: span emission is
 # a handful of lock-free ring pushes per request, and this gate keeps it
-# that way. Same retry discipline as the serve gate: fresh adjacent
-# baselines, pass on any of 4 attempts.
-SERVE_RUN="--clients 3000 --rate 200000 --service-us 200 --workers 3"
-ATTEMPT=1
-while :; do
-  # shellcheck disable=SC2086
-  SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $SERVE_RUN \
-    --quiet --json "$BUILD/bench_serve_spans_off.json"
-  # shellcheck disable=SC2086
-  SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $SERVE_RUN \
-    --quiet --trace-out "$BUILD/bench_serve_spans.strc" \
-    --json "$BUILD/bench_serve_spans_on.json"
-  if "$BUILD/src/obs/sharc-trace" check-overhead --max-pct 2 \
-       "$BUILD/bench_serve_spans_off.json" \
-       "$BUILD/bench_serve_spans_on.json"; then
-    break
-  fi
-  if [ "$ATTEMPT" -ge 4 ]; then
-    echo "ci.sh: span tracing overhead gate: over 2% in all $ATTEMPT attempts"
-    exit 1
-  fi
-  ATTEMPT=$((ATTEMPT + 1))
-  echo "ci.sh: span tracing overhead gate: retrying (attempt $ATTEMPT)"
-done
+# that way.
+gate_serve "span tracing" "$SERVE_RUN" bench_serve_spans_off.json \
+  bench_serve_spans_on.json "" --trace-out "$BUILD/bench_serve_spans.strc"
 
 echo "== serve overhead gate =="
 # Armed-vs-disabled for the server itself: the same fixed request mix
-# with checking enabled must keep handler CPU (thread-CPU accounted, so
-# scheduler noise cancels) within 2% of the --unchecked baseline. Same
-# retry discipline as the micro gates: fresh adjacent baselines, pass on
-# any of 4 attempts.
-SERVE_RUN="--clients 3000 --rate 200000 --service-us 200 --workers 3"
-ATTEMPT=1
-while :; do
-  # shellcheck disable=SC2086
-  SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $SERVE_RUN \
-    --unchecked --quiet --json "$BUILD/bench_serve_orig.json"
-  # shellcheck disable=SC2086
-  SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $SERVE_RUN \
-    --quiet --json "$BUILD/bench_serve_sharc.json"
-  if "$BUILD/src/obs/sharc-trace" check-overhead --max-pct 2 \
-       "$BUILD/bench_serve_orig.json" "$BUILD/bench_serve_sharc.json"; then
-    break
-  fi
-  if [ "$ATTEMPT" -ge 4 ]; then
-    echo "ci.sh: serve overhead gate: over 2% in all $ATTEMPT attempts"
-    exit 1
-  fi
-  ATTEMPT=$((ATTEMPT + 1))
-  echo "ci.sh: serve overhead gate: retrying (attempt $ATTEMPT)"
-done
+# with checking enabled must keep handler CPU within 2% of the
+# --unchecked baseline.
+gate_serve serve "$SERVE_RUN" bench_serve_orig.json bench_serve_sharc.json \
+  --unchecked
 
 echo "== chaos smoke (sharc-storm) =="
 # One short overloaded run per serve-level fault kind (DESIGN.md §17):
@@ -196,28 +186,10 @@ echo "== resilience overhead gate =="
 # total (750) stays below the ring high watermark (768 of 1024), so the
 # armed run can never shed, degrade, or retry no matter how slow this
 # machine is — both runs do byte-identical handler work by
-# construction. Same retry discipline as the other serve gates: fresh
-# adjacent baselines, pass on any of 4 attempts.
+# construction.
 SERVE_RUN_SAFE="--clients 750 --rate 200000 --service-us 600 --workers 3"
-ATTEMPT=1
-while :; do
-  # shellcheck disable=SC2086
-  SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $SERVE_RUN_SAFE \
-    --quiet --json "$BUILD/bench_serve_disarmed.json"
-  # shellcheck disable=SC2086
-  SHARC_BENCH_REPS=3 "$BUILD/src/serve/sharc-serve" $SERVE_RUN_SAFE \
-    --max-inflight 1000000 --quiet --json "$BUILD/bench_serve_armed.json"
-  if "$BUILD/src/obs/sharc-trace" check-overhead --max-pct 2 \
-       "$BUILD/bench_serve_disarmed.json" "$BUILD/bench_serve_armed.json"; then
-    break
-  fi
-  if [ "$ATTEMPT" -ge 4 ]; then
-    echo "ci.sh: resilience overhead gate: over 2% in all $ATTEMPT attempts"
-    exit 1
-  fi
-  ATTEMPT=$((ATTEMPT + 1))
-  echo "ci.sh: resilience overhead gate: retrying (attempt $ATTEMPT)"
-done
+gate_serve resilience "$SERVE_RUN_SAFE" bench_serve_disarmed.json \
+  bench_serve_armed.json "" --max-inflight 1000000
 
 echo "== profiler overhead gate =="
 # sharc-prof must keep the disabled fast path at one predicted branch

@@ -50,9 +50,9 @@
 #include "rt/Guard.h"
 #include "rt/LiveStats.h"
 #include "rt/StatsServer.h"
+#include "support/Args.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -156,40 +156,6 @@ void printUsage(std::FILE *To) {
       "4 exploration gave up (budget/bound) without finding a violation\n");
 }
 
-/// Strict unsigned parse for numeric flags: the whole argument must be
-/// digits (std::from_chars, base 10), no trailing garbage, no sign.
-bool parseU64Arg(const char *Flag, const char *Text, uint64_t &Out) {
-  const char *End = Text + std::strlen(Text);
-  auto [Ptr, Ec] = std::from_chars(Text, End, Out, 10);
-  if (Ec != std::errc() || Ptr != End || Text == End) {
-    std::fprintf(stderr, "sharcc: %s expects an unsigned integer, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
-  return true;
-}
-
-/// Matches a value-taking flag in either spelling, "--flag VALUE" or
-/// "--flag=VALUE". \returns true when Argv[I] is \p Flag; \p Value then
-/// points at the flag's argument, or is null when the argument is
-/// missing (the caller reports usage). Advances \p I past a separate
-/// value argument.
-bool matchValueFlag(const char *Flag, int Argc, char **Argv, int &I,
-                    const char *&Value) {
-  const char *Arg = Argv[I];
-  size_t Len = std::strlen(Flag);
-  if (std::strncmp(Arg, Flag, Len) != 0)
-    return false;
-  if (Arg[Len] == '=') {
-    Value = Arg + Len + 1;
-    return true;
-  }
-  if (Arg[Len] != '\0')
-    return false; // a longer flag sharing this prefix
-  Value = I + 1 < Argc ? Argv[++I] : nullptr;
-  return true;
-}
-
 /// 0 = parsed; 1 = parsed and exit 0 requested (--help); 2 = usage error.
 int parseArgs(int Argc, char **Argv, DriverOptions &Options) {
   // The paper's fail-fast semantics is sharcc's default; SHARC_POLICY
@@ -235,18 +201,11 @@ int parseArgs(int Argc, char **Argv, DriverOptions &Options) {
     } else if (Arg == "--profile") {
       Options.Interp.Profile = true;
     } else if (matchValueFlag("--seed", Argc, Argv, I, Value)) {
-      if (!Value) {
-        std::fprintf(stderr, "sharcc: --seed needs a value\n");
-        return 2;
-      }
-      if (!parseU64Arg("--seed", Value, Options.Interp.Seed))
+      if (!parseU64Flag("sharcc", "--seed", Value, Options.Interp.Seed))
         return 2;
     } else if (matchValueFlag("--max-steps", Argc, Argv, I, Value)) {
-      if (!Value) {
-        std::fprintf(stderr, "sharcc: --max-steps needs a value\n");
-        return 2;
-      }
-      if (!parseU64Arg("--max-steps", Value, Options.Interp.MaxSteps))
+      if (!parseU64Flag("sharcc", "--max-steps", Value,
+                        Options.Interp.MaxSteps))
         return 2;
       Options.MaxStepsSet = true;
     } else if (matchValueFlag("--entry", Argc, Argv, I, Value)) {
@@ -274,18 +233,12 @@ int parseArgs(int Argc, char **Argv, DriverOptions &Options) {
       }
       Options.StatsAddr = Value;
     } else if (matchValueFlag("--stats-linger-ms", Argc, Argv, I, Value)) {
-      if (!Value) {
-        std::fprintf(stderr, "sharcc: --stats-linger-ms needs a value\n");
-        return 2;
-      }
-      if (!parseU64Arg("--stats-linger-ms", Value, Options.StatsLingerMs))
+      if (!parseU64Flag("sharcc", "--stats-linger-ms", Value,
+                        Options.StatsLingerMs))
         return 2;
     } else if (matchValueFlag("--stats-poll-steps", Argc, Argv, I, Value)) {
-      if (!Value) {
-        std::fprintf(stderr, "sharcc: --stats-poll-steps needs a value\n");
-        return 2;
-      }
-      if (!parseU64Arg("--stats-poll-steps", Value, Options.StatsPollSteps))
+      if (!parseU64Flag("sharcc", "--stats-poll-steps", Value,
+                        Options.StatsPollSteps))
         return 2;
     } else if (Arg == "--explore") {
       Options.Explore = true;
@@ -294,15 +247,13 @@ int parseArgs(int Argc, char **Argv, DriverOptions &Options) {
       // the input file, so the separate-argument spelling is not
       // offered for this flag.
       Options.Explore = true;
-      if (!parseU64Arg("--explore", Arg.c_str() + std::strlen("--explore="),
-                       Options.ExploreBound))
+      if (!parseU64Flag("sharcc", "--explore",
+                        Arg.c_str() + std::strlen("--explore="),
+                        Options.ExploreBound))
         return 2;
     } else if (matchValueFlag("--explore-budget", Argc, Argv, I, Value)) {
-      if (!Value) {
-        std::fprintf(stderr, "sharcc: --explore-budget needs a value\n");
-        return 2;
-      }
-      if (!parseU64Arg("--explore-budget", Value, Options.ExploreBudget))
+      if (!parseU64Flag("sharcc", "--explore-budget", Value,
+                        Options.ExploreBudget))
         return 2;
       if (Options.ExploreBudget == 0) {
         std::fprintf(stderr, "sharcc: --explore-budget must be nonzero\n");

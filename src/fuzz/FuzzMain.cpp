@@ -31,6 +31,7 @@
 #include "fuzz/Rng.h"
 #include "racedet/TraceReplay.h"
 #include "rt/Guard.h"
+#include "support/Args.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -82,15 +83,6 @@ int usage(const char *Argv0) {
       << "  --minimize      shrink failures before reporting/saving\n"
       << "  --quiet         only print failures and the summary\n";
   return 2;
-}
-
-bool parseU64(const char *S, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (!End || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 /// State shared by generate and replay modes.

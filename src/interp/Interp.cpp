@@ -8,6 +8,7 @@
 
 #include "interp/Schedule.h"
 #include "obs/Sink.h"
+#include "rt/SharingWord.h"
 
 #include <algorithm>
 #include <cassert>
@@ -97,13 +98,13 @@ namespace {
 using Addr = uint64_t;
 
 /// One memory cell of the operational semantics: value, pointerness (for
-/// the oneref heap inspection), reader/writer thread sets, last-access
-/// provenance for reports.
+/// the oneref heap inspection), the reader/writer sets as a sharing word
+/// (rt/SharingWord.h; thread ids 1..62 sit beside the writer bit),
+/// last-access provenance for reports.
 struct Cell {
   int64_t V = 0;
   bool IsPtr = false;
-  uint64_t Readers = 0;
-  uint64_t Writers = 0;
+  uint64_t Sharing = 0;
   uint16_t LastTid = 0;
   const Expr *LastExpr = nullptr;
   uint32_t LastLine = 0;
@@ -286,8 +287,8 @@ private:
   /// publishes the final, trace-exact snapshot itself after the run.
   void publishLive();
 
-  void chkRead(ThreadCtx &T, Addr A, const Expr *Node);
-  void chkWrite(ThreadCtx &T, Addr A, const Expr *Node);
+  /// chkread (\p IsWrite false) or chkwrite on cell \p A.
+  void chkAccess(ThreadCtx &T, Addr A, const Expr *Node, bool IsWrite);
   void chkLock(ThreadCtx &T, Frame &F, const AccessCheck &Check, Addr A,
                const Expr *Node);
   void report(Violation::Kind K, ThreadCtx &T, Addr A, const Expr *Node,
@@ -443,8 +444,7 @@ void Machine::clearObjectSets(const ThreadCtx &T, Addr A) {
       return;
   }
   for (Addr C = It->first; C != It->first + It->second.Size; ++C) {
-    Mem[C].Readers = 0;
-    Mem[C].Writers = 0;
+    Mem[C].Sharing = 0;
     Mem[C].LastTid = 0;
     Mem[C].LastExpr = nullptr;
     schedNote(SchedNote::ImplicitWrite, T, C);
@@ -540,8 +540,7 @@ void Machine::report(Violation::Kind K, ThreadCtx &T, Addr A,
     switch (K) {
     case Violation::Kind::ReadConflict:
     case Violation::Kind::WriteConflict:
-      Mem[A].Readers = 0;
-      Mem[A].Writers = 0;
+      Mem[A].Sharing = 0;
       Mem[A].LastTid = 0;
       Mem[A].LastExpr = nullptr;
       QuarCells.insert(A);
@@ -561,29 +560,19 @@ void Machine::report(Violation::Kind K, ThreadCtx &T, Addr A,
     T.State = ThreadCtx::St::Failed;
 }
 
-void Machine::chkRead(ThreadCtx &T, Addr A, const Expr *Node) {
+void Machine::chkAccess(ThreadCtx &T, Addr A, const Expr *Node,
+                        bool IsWrite) {
   ++Result.Stats.DynamicChecks;
   Cell &C = Mem[A];
-  uint64_t Bit = uint64_t(1) << T.Tid;
-  if ((C.Writers & ~Bit) != 0 && !isCellQuarantined(A))
-    report(Violation::Kind::ReadConflict, T, A, Node, &C);
-  if ((C.Readers & Bit) == 0 && (C.Writers & Bit) == 0)
+  rt::SharingStep<uint64_t> S = rt::step(C.Sharing, T.Tid, IsWrite);
+  C.Sharing = S.Next;
+  if (S.FirstAccess)
     T.AccessLog.push_back(A);
-  C.Readers |= Bit;
-  C.LastTid = static_cast<uint16_t>(T.Tid);
-  C.LastExpr = Node;
-  C.LastLine = Node ? Node->Loc.Line : 0;
-}
-
-void Machine::chkWrite(ThreadCtx &T, Addr A, const Expr *Node) {
-  ++Result.Stats.DynamicChecks;
-  Cell &C = Mem[A];
-  uint64_t Bit = uint64_t(1) << T.Tid;
-  if (((C.Readers | C.Writers) & ~Bit) != 0 && !isCellQuarantined(A))
-    report(Violation::Kind::WriteConflict, T, A, Node, &C);
-  if ((C.Readers & Bit) == 0 && (C.Writers & Bit) == 0)
-    T.AccessLog.push_back(A);
-  C.Writers |= Bit;
+  // Reported after the step so a quarantine reset is not overwritten.
+  if (S.Conflict && !isCellQuarantined(A))
+    report(IsWrite ? Violation::Kind::WriteConflict
+                   : Violation::Kind::ReadConflict,
+           T, A, Node, &C);
   C.LastTid = static_cast<uint16_t>(T.Tid);
   C.LastExpr = Node;
   C.LastLine = Node ? Node->Loc.Line : 0;
@@ -638,10 +627,8 @@ void Machine::runChecks(ThreadCtx &T, Frame &F, const Expr *Node, Addr A) {
   for (const AccessCheck &Check : *Checks) {
     switch (Check.K) {
     case AccessCheck::Kind::Read:
-      chkRead(T, A, Node);
-      break;
     case AccessCheck::Kind::Write:
-      chkWrite(T, A, Node);
+      chkAccess(T, A, Node, Check.K == AccessCheck::Kind::Write);
       break;
     case AccessCheck::Kind::Lock:
     case AccessCheck::Kind::LockShared:
@@ -1344,11 +1331,9 @@ void Machine::threadExit(ThreadCtx &T) {
   // one: the explorer must treat an exit as conflicting with the cells
   // the thread touched, or it would prune the overlapping/
   // non-overlapping distinction away.
-  uint64_t Bit = uint64_t(1) << T.Tid;
   for (Addr A : T.AccessLog) {
     if (A < Mem.size()) {
-      Mem[A].Readers &= ~Bit;
-      Mem[A].Writers &= ~Bit;
+      Mem[A].Sharing = rt::retire(Mem[A].Sharing, T.Tid);
       schedNote(SchedNote::ImplicitWrite, T, A);
     }
   }

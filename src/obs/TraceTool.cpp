@@ -34,6 +34,7 @@
 #include "rt/LiveStats.h"
 #include "rt/StatsServer.h"
 #include "support/Diagnostics.h"
+#include "support/Args.h"
 #include "support/SourceManager.h"
 
 #include <algorithm>
@@ -683,27 +684,11 @@ void printEventLine(const obs::Event &Ev) {
 /// Parses "--flag N" / "--flag=N" unsigned arguments for the tail and
 /// compare-runs option loops.
 bool numArg(const char *Flag, int Argc, char **Argv, int &I, uint64_t &Out) {
-  size_t Len = std::strlen(Flag);
-  if (std::strncmp(Argv[I], Flag, Len) != 0)
-    return false;
   const char *Value = nullptr;
-  if (Argv[I][Len] == '=')
-    Value = Argv[I] + Len + 1;
-  else if (Argv[I][Len] == '\0' && I + 1 < Argc)
-    Value = Argv[++I];
-  else if (Argv[I][Len] != '\0')
+  if (!matchValueFlag(Flag, Argc, Argv, I, Value))
     return false;
-  if (!Value || !*Value) {
-    std::fprintf(stderr, "sharc-trace: %s needs a value\n", Flag);
+  if (!parseU64Flag("sharc-trace", Flag, Value, Out))
     std::exit(2);
-  }
-  char *End = nullptr;
-  Out = std::strtoull(Value, &End, 10);
-  if (!End || *End != '\0') {
-    std::fprintf(stderr, "sharc-trace: %s expects a number, got '%s'\n",
-                 Flag, Value);
-    std::exit(2);
-  }
   return true;
 }
 

@@ -76,7 +76,9 @@ public:
   /// a concurrently appending owner.
   template <typename FnT> void forEach(FnT Fn) const {
     size_t N = Size.load(std::memory_order_acquire);
-    const Chunk *C = Head;
+    // The first push sets Head before publishing Size, so Head may be
+    // read only once a nonzero Size is seen.
+    const Chunk *C = N ? Head : nullptr;
     for (size_t I = 0; I < N; ++I) {
       if (I != 0 && I % ChunkSize == 0)
         C = C->Next.load(std::memory_order_acquire);

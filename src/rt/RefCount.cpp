@@ -102,20 +102,19 @@ void RefCountEngine::collectLocked() {
   // Pass 2: increment the count of each logged slot's current value. If
   // the slot has been dirtied again in the live epoch, its current value is
   // unstable; instead increment the value recorded as overwritten in the
-  // live logs (it will be decremented when those logs are processed).
+  // live logs (it will be decremented when those logs are processed). The
+  // slot is loaded before the dirty bit is tested: a mutator dirties, logs
+  // and only then stores, so a store this load saw is always found in the
+  // live logs, and the logged old value replaces it.
   Registry.forEachStateUnlocked([&](ThreadState &S) {
     S.RcLogs[OldIndex].forEach([&](const RcLogEntry &Entry) {
-      uintptr_t Current = 0;
+      uintptr_t Current = loadPtr(reinterpret_cast<uintptr_t *>(Entry.Slot));
       if (Dirty.isDirty(Entry.Slot, NewIndex)) {
         bool Found = false;
         Registry.forEachStateUnlocked([&](ThreadState &S2) {
           if (!Found)
             Found = S2.RcLogs[NewIndex].findOldFor(Entry.Slot, Current);
         });
-        if (!Found)
-          Current = loadPtr(reinterpret_cast<uintptr_t *>(Entry.Slot));
-      } else {
-        Current = loadPtr(reinterpret_cast<uintptr_t *>(Entry.Slot));
       }
       if (Current)
         Table.add(Current, +1);

@@ -7,6 +7,7 @@
 #include "rt/Runtime.h"
 
 #include "obs/Sink.h"
+#include "support/Args.h"
 
 #include <algorithm>
 #include <cassert>
@@ -51,12 +52,8 @@ Runtime::Runtime(const RuntimeConfig &Config)
   this->Config.AbortOnError =
       this->Config.Guard.OnViolation == guard::Policy::Abort;
   guard::setGlobalPolicy(this->Config.Guard.OnViolation);
-  if (const char *Env = std::getenv("SHARC_WATCHDOG_MS")) {
-    char *End = nullptr;
-    unsigned long long Ms = std::strtoull(Env, &End, 10);
-    if (End && End != Env && *End == '\0')
-      this->Config.Guard.WatchdogMillis = Ms;
-  }
+  if (const char *Env = std::getenv("SHARC_WATCHDOG_MS"))
+    parseU64(Env, this->Config.Guard.WatchdogMillis);
   guard::initFaultsFromEnv();
   Sink.setMaxPerKind(this->Config.Guard.MaxReportsPerKind);
   Shadow = std::make_unique<ShadowMemory>(this->Config, Stats, Sink);

@@ -130,69 +130,62 @@ void forEachGranule(uintptr_t Addr, size_t Size, unsigned GranuleShift,
   }
 }
 
-template <typename WordT> WordT loadWord(uint8_t *Cells, size_t Index) {
-  return std::atomic_ref<WordT>(reinterpret_cast<WordT *>(Cells)[Index])
-      .load(std::memory_order_acquire);
+/// Applies \p Fn (word -> SharingStep) to \p Slot until a compare-and-swap
+/// installs its result, and returns the step that was installed. A step
+/// that leaves the word unchanged skips the store.
+template <typename WordT, typename FnT>
+SharingStep<WordT> applyStep(WordT &Slot, FnT Fn) {
+  std::atomic_ref<WordT> Cell(Slot);
+  WordT Cur = Cell.load(std::memory_order_acquire);
+  while (true) {
+    SharingStep<WordT> S = Fn(Cur);
+    if (S.Next == Cur ||
+        Cell.compare_exchange_weak(Cur, S.Next, std::memory_order_acq_rel,
+                                   std::memory_order_acquire))
+      return S;
+  }
 }
 
 } // namespace
 
+template <typename FnT> decltype(auto) ShadowMemory::withWord(FnT Fn) const {
+  switch (Config.ShadowBytesPerGranule) {
+  case 1:
+    return Fn(uint8_t());
+  case 2:
+    return Fn(uint16_t());
+  case 4:
+    return Fn(uint32_t());
+  default:
+    return Fn(uint64_t());
+  }
+}
+
+template <typename WordT> WordT *ShadowMemory::wordsOf(Page *P) {
+  return reinterpret_cast<WordT *>(P->Cells.get());
+}
+
 template <typename WordT>
 bool ShadowMemory::checkAccessImpl(uintptr_t Addr, size_t Size, bool IsWrite,
                                    ThreadState &TS, const AccessSite *Site) {
-  const WordT WriterBit = 1;
-  const WordT OwnBit = WordT(1) << TS.Tid;
   bool Ok = true;
-
   forEachGranule(
       Addr, Size, Config.GranuleShift, PageShift,
       [&](uintptr_t PageBase, size_t Index, uintptr_t GranuleAddr) {
         Page *P = getOrCreatePage(PageBase);
-        auto *Words = reinterpret_cast<WordT *>(P->Cells.get());
-        std::atomic_ref<WordT> Cell(Words[Index]);
-
-        WordT Cur = Cell.load(std::memory_order_acquire);
-        bool Conflict = false;
-        bool FirstAccess = false;
-        while (true) {
-          WordT Others = Cur & ~(OwnBit | WriterBit);
-          if (IsWrite) {
-            // chkwrite: no other readers, no other writer.
-            Conflict = Others != 0;
-          } else {
-            // chkread: no other writer. A writer exists iff bit 0 is set;
-            // its identity is the unique other bit.
-            Conflict = (Cur & WriterBit) != 0 && Others != 0;
-          }
-          WordT Desired;
-          if (Conflict) {
-            // Claim the granule anyway so one bug yields one report per
-            // site rather than a storm.
-            Desired = IsWrite ? (WriterBit | OwnBit) : (Cur | OwnBit);
-          } else {
-            Desired = IsWrite ? (Cur | WriterBit | OwnBit) : (Cur | OwnBit);
-          }
-          FirstAccess = (Cur & OwnBit) == 0;
-          if (Desired == Cur)
-            break;
-          if (Cell.compare_exchange_weak(Cur, Desired,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire))
-            break;
-          // Cur reloaded by compare_exchange; retry the full check.
+        SharingStep<WordT> S =
+            applyStep(wordsOf<WordT>(P)[Index], [&](WordT Cur) {
+              return step(Cur, TS.Tid, IsWrite);
+            });
+        // Under quarantine a demoted granule is racy-equivalent: the
+        // access proceeds unchecked.
+        if (S.Conflict &&
+            (Config.Guard.OnViolation != guard::Policy::Quarantine ||
+             !isGranuleQuarantined(GranuleAddr))) {
+          Ok = false;
+          reportConflict(IsWrite, GranuleAddr, TS, Site, P, Index);
         }
-
-        if (Conflict) {
-          if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
-              isGranuleQuarantined(GranuleAddr)) {
-            // Demoted to racy-equivalent: the access proceeds unchecked.
-            Conflict = false;
-          } else {
-            Ok = false;
-            reportConflict(IsWrite, GranuleAddr, TS, Site, P, Index);
-          }
-        }
-        if (FirstAccess)
+        if (S.FirstAccess)
           TS.AccessLog.push_back(GranuleAddr);
         if (P->Diags) {
           DiagCell &D = P->Diags[Index];
@@ -243,17 +236,10 @@ bool ShadowMemory::checkRead(const void *Addr, size_t Size, ThreadState &TS,
   Stats.DynamicReads.fetch_add(1, std::memory_order_relaxed);
   Stats.DynamicReadBytes.fetch_add(Size ? Size : 1,
                                    std::memory_order_relaxed);
-  uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return checkAccessImpl<uint8_t>(A, Size, /*IsWrite=*/false, TS, Site);
-  case 2:
-    return checkAccessImpl<uint16_t>(A, Size, false, TS, Site);
-  case 4:
-    return checkAccessImpl<uint32_t>(A, Size, false, TS, Site);
-  default:
-    return checkAccessImpl<uint64_t>(A, Size, false, TS, Site);
-  }
+  return withWord([&](auto W) {
+    return checkAccessImpl<decltype(W)>(reinterpret_cast<uintptr_t>(Addr),
+                                        Size, /*IsWrite=*/false, TS, Site);
+  });
 }
 
 bool ShadowMemory::checkWrite(const void *Addr, size_t Size, ThreadState &TS,
@@ -261,92 +247,48 @@ bool ShadowMemory::checkWrite(const void *Addr, size_t Size, ThreadState &TS,
   Stats.DynamicWrites.fetch_add(1, std::memory_order_relaxed);
   Stats.DynamicWriteBytes.fetch_add(Size ? Size : 1,
                                     std::memory_order_relaxed);
-  uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return checkAccessImpl<uint8_t>(A, Size, /*IsWrite=*/true, TS, Site);
-  case 2:
-    return checkAccessImpl<uint16_t>(A, Size, true, TS, Site);
-  case 4:
-    return checkAccessImpl<uint32_t>(A, Size, true, TS, Site);
-  default:
-    return checkAccessImpl<uint64_t>(A, Size, true, TS, Site);
-  }
-}
-
-template <typename WordT>
-void ShadowMemory::clearRangeImpl(uintptr_t Addr, size_t Size) {
-  forEachGranule(Addr, Size, Config.GranuleShift, PageShift,
-                 [&](uintptr_t PageBase, size_t Index, uintptr_t) {
-                   Page *P = lookupPage(PageBase);
-                   if (!P)
-                     return;
-                   auto *Words = reinterpret_cast<WordT *>(P->Cells.get());
-                   std::atomic_ref<WordT>(Words[Index])
-                       .store(0, std::memory_order_release);
-                   if (P->Diags) {
-                     P->Diags[Index].LastSite.store(
-                         nullptr, std::memory_order_relaxed);
-                     P->Diags[Index].LastTid.store(0,
-                                                   std::memory_order_relaxed);
-                   }
-                 });
+  return withWord([&](auto W) {
+    return checkAccessImpl<decltype(W)>(reinterpret_cast<uintptr_t>(Addr),
+                                        Size, /*IsWrite=*/true, TS, Site);
+  });
 }
 
 void ShadowMemory::clearRange(const void *Addr, size_t Size) {
-  uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return clearRangeImpl<uint8_t>(A, Size);
-  case 2:
-    return clearRangeImpl<uint16_t>(A, Size);
-  case 4:
-    return clearRangeImpl<uint32_t>(A, Size);
-  default:
-    return clearRangeImpl<uint64_t>(A, Size);
-  }
-}
-
-template <typename WordT>
-void ShadowMemory::clearThreadBitsImpl(ThreadState &TS) {
-  const WordT WriterBit = 1;
-  const WordT OwnBit = WordT(1) << TS.Tid;
-  for (uintptr_t GranuleAddr : TS.AccessLog) {
-    uintptr_t PageBase = GranuleAddr & ~(uintptr_t(PageBytes) - 1);
-    Page *P = lookupPage(PageBase);
-    if (!P)
-      continue;
-    size_t Index = (GranuleAddr - PageBase) >> Config.GranuleShift;
-    auto *Words = reinterpret_cast<WordT *>(P->Cells.get());
-    std::atomic_ref<WordT> Cell(Words[Index]);
-    WordT Cur = Cell.load(std::memory_order_acquire);
-    while (true) {
-      WordT Desired;
-      if ((Cur & WriterBit) != 0 && (Cur & ~WriterBit) == OwnBit)
-        Desired = 0; // We were the sole writer; reset the granule.
-      else
-        Desired = Cur & ~OwnBit;
-      if (Desired == Cur)
-        break;
-      if (Cell.compare_exchange_weak(Cur, Desired, std::memory_order_acq_rel,
-                                     std::memory_order_acquire))
-        break;
-    }
-  }
-  TS.AccessLog.clear();
+  withWord([&](auto W) {
+    using WordT = decltype(W);
+    forEachGranule(reinterpret_cast<uintptr_t>(Addr), Size,
+                   Config.GranuleShift, PageShift,
+                   [&](uintptr_t PageBase, size_t Index, uintptr_t) {
+                     Page *P = lookupPage(PageBase);
+                     if (!P)
+                       return;
+                     std::atomic_ref<WordT>(wordsOf<WordT>(P)[Index])
+                         .store(0, std::memory_order_release);
+                     if (P->Diags) {
+                       P->Diags[Index].LastSite.store(
+                           nullptr, std::memory_order_relaxed);
+                       P->Diags[Index].LastTid.store(
+                           0, std::memory_order_relaxed);
+                     }
+                   });
+  });
 }
 
 void ShadowMemory::clearThreadBits(ThreadState &TS) {
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return clearThreadBitsImpl<uint8_t>(TS);
-  case 2:
-    return clearThreadBitsImpl<uint16_t>(TS);
-  case 4:
-    return clearThreadBitsImpl<uint32_t>(TS);
-  default:
-    return clearThreadBitsImpl<uint64_t>(TS);
-  }
+  withWord([&](auto W) {
+    using WordT = decltype(W);
+    for (uintptr_t GranuleAddr : TS.AccessLog) {
+      uintptr_t PageBase = GranuleAddr & ~(uintptr_t(PageBytes) - 1);
+      Page *P = lookupPage(PageBase);
+      if (!P)
+        continue;
+      size_t Index = (GranuleAddr - PageBase) >> Config.GranuleShift;
+      applyStep(wordsOf<WordT>(P)[Index], [&](WordT Cur) {
+        return SharingStep<WordT>{retire(Cur, TS.Tid), false, false};
+      });
+    }
+  });
+  TS.AccessLog.clear();
 }
 
 uint64_t ShadowMemory::peekWord(const void *Addr) const {
@@ -356,14 +298,9 @@ uint64_t ShadowMemory::peekWord(const void *Addr) const {
   if (!P)
     return 0;
   size_t Index = (A - PageBase) >> Config.GranuleShift;
-  switch (Config.ShadowBytesPerGranule) {
-  case 1:
-    return loadWord<uint8_t>(P->Cells.get(), Index);
-  case 2:
-    return loadWord<uint16_t>(P->Cells.get(), Index);
-  case 4:
-    return loadWord<uint32_t>(P->Cells.get(), Index);
-  default:
-    return loadWord<uint64_t>(P->Cells.get(), Index);
-  }
+  return withWord([&](auto W) -> uint64_t {
+    using WordT = decltype(W);
+    return std::atomic_ref<WordT>(wordsOf<WordT>(P)[Index])
+        .load(std::memory_order_acquire);
+  });
 }

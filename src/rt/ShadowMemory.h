@@ -7,12 +7,8 @@
 /// \file
 /// Implements Section 4.2.1 of the paper: for every 2^GranuleShift bytes of
 /// application memory the runtime keeps N shadow bytes encoding the granule's
-/// reader and writer sets:
-///
-///   - bit 0 set: a single thread is reading *and writing* the granule;
-///     the writer is the unique thread whose bit is also set.
-///   - bit k set (k >= 1): thread with id k is reading the granule, and
-///     writing it if bit 0 is also set.
+/// reader and writer sets as a sharing word (rt/SharingWord.h, which holds
+/// the encoding and the transition rule shared with the interpreter).
 ///
 /// With N shadow bytes, up to 8N-1 threads are supported. Checks and
 /// updates are a single compare-exchange on the shadow word, mirroring the
@@ -34,6 +30,7 @@
 #include "rt/Config.h"
 #include "rt/Guard.h"
 #include "rt/Report.h"
+#include "rt/SharingWord.h"
 #include "rt/Stats.h"
 #include "rt/ThreadRegistry.h"
 
@@ -59,12 +56,12 @@ public:
   /// chkread: verifies no *other* thread has written [Addr, Addr+Size) in
   /// this granule's current reader/writer sets, then records this thread as
   /// a reader. \returns false (after filing a report) on conflict; the
-  /// access is still claimed so execution can continue.
+  /// granule then stays with its writer.
   bool checkRead(const void *Addr, size_t Size, ThreadState &TS,
                  const AccessSite *Site);
 
   /// chkwrite: verifies no other thread has read or written the range, then
-  /// records this thread as the writer.
+  /// records this thread as the writer, also on conflict.
   bool checkWrite(const void *Addr, size_t Size, ThreadState &TS,
                   const AccessSite *Site);
 
@@ -91,11 +88,13 @@ private:
   Page *lookupPage(uintptr_t PageBase) const;
   Page *getOrCreatePage(uintptr_t PageBase);
 
+  /// Calls \p Fn with a value of the configured shadow word type; the
+  /// one place the word width is dispatched.
+  template <typename FnT> decltype(auto) withWord(FnT Fn) const;
+  template <typename WordT> static WordT *wordsOf(Page *P);
   template <typename WordT>
   bool checkAccessImpl(uintptr_t Addr, size_t Size, bool IsWrite,
                        ThreadState &TS, const AccessSite *Site);
-  template <typename WordT> void clearRangeImpl(uintptr_t Addr, size_t Size);
-  template <typename WordT> void clearThreadBitsImpl(ThreadState &TS);
 
   void reportConflict(bool IsWrite, uintptr_t Addr, ThreadState &TS,
                       const AccessSite *Site, Page *P, size_t GranuleIndex);

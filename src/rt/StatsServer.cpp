@@ -6,6 +6,8 @@
 
 #include "rt/StatsServer.h"
 
+#include "support/Args.h"
+
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstdio>
@@ -28,12 +30,11 @@ bool splitHostPort(const std::string &Addr, std::string &Host,
   }
   Host = Addr.substr(0, Colon);
   std::string PortStr = Addr.substr(Colon + 1);
-  if (PortStr.empty() ||
-      PortStr.find_first_not_of("0123456789") != std::string::npos) {
+  uint64_t V = 0;
+  if (!parseU64(PortStr, V)) {
     Error = "stats address has a non-numeric port: '" + Addr + "'";
     return false;
   }
-  unsigned long V = std::strtoul(PortStr.c_str(), nullptr, 10);
   if (V > 65535) {
     Error = "stats address port out of range: '" + Addr + "'";
     return false;

@@ -29,8 +29,8 @@
 #include "rt/Guard.h"
 #include "rt/Runtime.h"
 #include "rt/StatsServer.h"
+#include "support/Args.h"
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -119,36 +119,6 @@ void printUsage(std::FILE *Out) {
       "I/O errors; 3 internal errors\n");
 }
 
-/// Strict unsigned parse: all digits, no sign, no trailing garbage.
-bool parseU64Arg(const char *Flag, const char *Text, uint64_t &Out) {
-  const char *End = Text + std::strlen(Text);
-  auto [Ptr, Ec] = std::from_chars(Text, End, Out, 10);
-  if (Ec != std::errc() || Ptr != End || Text == End) {
-    std::fprintf(stderr,
-                 "sharc-serve: %s expects an unsigned integer, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
-  return true;
-}
-
-/// "--flag VALUE" or "--flag=VALUE" (same contract as sharcc).
-bool matchValueFlag(const char *Flag, int Argc, char **Argv, int &I,
-                    const char *&Value) {
-  const char *Arg = Argv[I];
-  size_t Len = std::strlen(Flag);
-  if (std::strncmp(Arg, Flag, Len) != 0)
-    return false;
-  if (Arg[Len] == '=') {
-    Value = Arg + Len + 1;
-    return true;
-  }
-  if (Arg[Len] != '\0')
-    return false;
-  Value = I + 1 < Argc ? Argv[++I] : nullptr;
-  return true;
-}
-
 bool needValue(const char *Flag, const char *Value) {
   if (Value)
     return true;
@@ -174,7 +144,7 @@ bool parsePeriodFlag(const char *Flag, int Argc, char **Argv, int &I,
     Out = Default;
     return true;
   }
-  if (!parseU64Arg(Flag, Value, Out))
+  if (!parseU64Flag("sharc-serve", Flag, Value, Out))
     return false;
   if (Out == 0) {
     std::fprintf(stderr,
@@ -205,21 +175,17 @@ int parseArgs(int Argc, char **Argv, ServeOptions &Opt) {
       printUsage(stdout);
       return 1;
     } else if (matchValueFlag("--clients", Argc, Argv, I, Value)) {
-      if (!needValue("--clients", Value) ||
-          !parseU64Arg("--clients", Value, Opt.Load.Clients))
+      if (!parseU64Flag("sharc-serve", "--clients", Value, Opt.Load.Clients))
         return 2;
     } else if (matchValueFlag("--reqs-per-client", Argc, Argv, I, Value)) {
-      if (!needValue("--reqs-per-client", Value) ||
-          !parseU64Arg("--reqs-per-client", Value,
-                       Opt.Load.RequestsPerClient))
+      if (!parseU64Flag("sharc-serve", "--reqs-per-client", Value,
+                        Opt.Load.RequestsPerClient))
         return 2;
     } else if (matchValueFlag("--rate", Argc, Argv, I, Value)) {
-      if (!needValue("--rate", Value) ||
-          !parseU64Arg("--rate", Value, Opt.Load.RatePerSec))
+      if (!parseU64Flag("sharc-serve", "--rate", Value, Opt.Load.RatePerSec))
         return 2;
     } else if (matchValueFlag("--payload", Argc, Argv, I, Value)) {
-      if (!needValue("--payload", Value) ||
-          !parseU64Arg("--payload", Value, Num))
+      if (!parseU64Flag("sharc-serve", "--payload", Value, Num))
         return 2;
       if (Num > (1u << 20)) {
         std::fprintf(stderr, "sharc-serve: --payload is capped at 1 MiB\n");
@@ -227,12 +193,10 @@ int parseArgs(int Argc, char **Argv, ServeOptions &Opt) {
       }
       Opt.Load.PayloadBytes = static_cast<uint32_t>(Num);
     } else if (matchValueFlag("--seed", Argc, Argv, I, Value)) {
-      if (!needValue("--seed", Value) ||
-          !parseU64Arg("--seed", Value, Opt.Load.Seed))
+      if (!parseU64Flag("sharc-serve", "--seed", Value, Opt.Load.Seed))
         return 2;
     } else if (matchValueFlag("--workers", Argc, Argv, I, Value)) {
-      if (!needValue("--workers", Value) ||
-          !parseU64Arg("--workers", Value, Num))
+      if (!parseU64Flag("sharc-serve", "--workers", Value, Num))
         return 2;
       // Thread budget: main + acceptor + workers + logger must fit the
       // 2-shadow-byte runtime's 15 thread ids.
@@ -242,8 +206,7 @@ int parseArgs(int Argc, char **Argv, ServeOptions &Opt) {
       }
       Opt.Params.Workers = static_cast<unsigned>(Num);
     } else if (matchValueFlag("--service-us", Argc, Argv, I, Value)) {
-      if (!needValue("--service-us", Value) ||
-          !parseU64Arg("--service-us", Value, Num))
+      if (!parseU64Flag("sharc-serve", "--service-us", Value, Num))
         return 2;
       Opt.Params.ServiceNanos = Num * 1000;
     } else if (Arg == "--inject-race" ||
@@ -257,8 +220,8 @@ int parseArgs(int Argc, char **Argv, ServeOptions &Opt) {
                            Opt.Params.InjectStallEvery))
         return 2;
     } else if (matchValueFlag("--max-inflight", Argc, Argv, I, Value)) {
-      if (!needValue("--max-inflight", Value) ||
-          !parseU64Arg("--max-inflight", Value, Opt.Params.MaxInflight))
+      if (!parseU64Flag("sharc-serve", "--max-inflight", Value,
+                        Opt.Params.MaxInflight))
         return 2;
       if (Opt.Params.MaxInflight == 0) {
         std::fprintf(stderr, "sharc-serve: --max-inflight must be positive "
@@ -266,8 +229,7 @@ int parseArgs(int Argc, char **Argv, ServeOptions &Opt) {
         return 2;
       }
     } else if (matchValueFlag("--deadline-ms", Argc, Argv, I, Value)) {
-      if (!needValue("--deadline-ms", Value) ||
-          !parseU64Arg("--deadline-ms", Value, Num))
+      if (!parseU64Flag("sharc-serve", "--deadline-ms", Value, Num))
         return 2;
       if (Num == 0 || Num > 3600000) {
         std::fprintf(stderr, "sharc-serve: --deadline-ms must be in "

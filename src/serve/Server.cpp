@@ -8,6 +8,7 @@
 
 #include "rt/AccessSite.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -62,6 +63,7 @@ Server<P>::Server(const ServeParams &Params, Transport &Net,
   LogRing = std::make_unique<HandoffRing<P, LogRecord>>(Params.RingCapacity);
   WorkerStates = std::make_unique<typename P::template Private<WorkerLocal>[]>(
       Params.Workers);
+  RetiredLive = std::make_unique<RetiredCount[]>(Params.Workers);
 }
 
 template <typename P> Server<P>::~Server() {
@@ -138,10 +140,7 @@ Connection<P> *Server<P>::makeConnection(SimRequest &&Req,
   ++Local.Accepted;
   Local.BytesIn += Conn->PayloadSize;
   AcceptedLive.write(AcceptedLive.read() + 1);
-  uint64_t Inflight = InflightLive.read() + 1;
-  InflightLive.write(Inflight);
-  if (Inflight > PeakInflightLive.read())
-    PeakInflightLive.write(Inflight);
+  Local.PeakInflight = std::max(Local.PeakInflight, inflight(Local.Accepted));
   uint64_t AcceptE = nanosSince(Epoch);
   Local.StageNs[unsigned(obs::SpanStage::Accept)].record(AcceptE - AcceptB);
   emitSpan(AcceptorRole, Conn->Seq, obs::SpanStage::Accept, false, AcceptE);
@@ -149,14 +148,15 @@ Connection<P> *Server<P>::makeConnection(SimRequest &&Req,
 }
 
 template <typename P>
-bool Server<P>::mustShed(const SimRequest &Req, uint64_t NowNs) {
+bool Server<P>::mustShed(const SimRequest &Req, const AcceptorLocal &Local,
+                         uint64_t NowNs) {
   const ServeParams &C = Config.get();
   // Deadline already blown while sitting in the accept queue: admitting
   // it would only burn a worker on a request the client gave up on.
   if (C.DeadlineNanos != 0 && NowNs > Req.ArrivalNs &&
       NowNs - Req.ArrivalNs > C.DeadlineNanos)
     return true;
-  if (C.MaxInflight != 0 && InflightLive.read() >= C.MaxInflight)
+  if (C.MaxInflight != 0 && inflight(Local.Accepted) >= C.MaxInflight)
     return true;
   // The full ring is the typed backpressure signal: shed instead of
   // blocking. The acceptor is the ring's only producer, so a below-
@@ -209,7 +209,7 @@ template <typename P> void Server<P>::acceptorMain() {
   while (Net.acceptBatch(Batch, 256) != 0)
     for (SimRequest &Req : Batch) {
       if (C.Resilient) {
-        if (mustShed(Req, nanosSince(Epoch))) {
+        if (mustShed(Req, Local, nanosSince(Epoch))) {
           shedConnection(Req, Local);
           Ladder();
           continue;
@@ -248,7 +248,8 @@ Session<P> *Server<P>::findOrCreateSession(SessionShard<P> &Shard,
   return S;
 }
 
-template <typename P> void Server<P>::teardownConnection(Connection<P> *Conn) {
+template <typename P>
+void Server<P>::teardownConnection(Connection<P> *Conn, uint32_t Role) {
   const ServeParams &C = Config.get();
   uint64_t Seq = Conn->Seq;
   ConnShard<P> &CS = Conns[Seq & (C.ConnShardCount - 1)];
@@ -258,7 +259,8 @@ template <typename P> void Server<P>::teardownConnection(Connection<P> *Conn) {
     CS.Open.write(CS.Open.read(SHARC_SITE("connshard->open")) - 1,
                   SHARC_SITE("connshard->open"));
   }
-  InflightLive.write(InflightLive.read() - 1);
+  auto &Retired = RetiredLive[Role - FirstWorkerRole].Count;
+  Retired.write(Retired.read() + 1);
   P::dealloc(Conn);
 }
 
@@ -275,7 +277,7 @@ void Server<P>::dropTimedOut(Connection<P> *Conn, WorkerLocal &Local,
       Now > Conn->EnqueueNs ? Now - Conn->EnqueueNs : 0);
   emitSpan(Role, Seq, obs::SpanStage::RingWait, false, Now);
   emitSpan(Role, Seq, obs::SpanStage::Handler, true, Now, Kind);
-  teardownConnection(Conn);
+  teardownConnection(Conn, Role);
   ++Local.TimedOut;
   emitSpan(Role, Seq, obs::SpanStage::Handler, false, nanosSince(Epoch),
            obs::OutcomeTimedOut);
@@ -387,7 +389,7 @@ void Server<P>::handle(Connection<P> *Conn, WorkerLocal &Local,
   }
 
   // Connection teardown.
-  teardownConnection(Conn);
+  teardownConnection(Conn, Role);
 
   uint64_t HandlerE = nanosSince(Epoch);
   Local.StageNs[unsigned(obs::SpanStage::Handler)].record(HandlerE -
@@ -478,6 +480,7 @@ template <typename P> ServeStats Server<P>::takeStats() {
   AcceptorState.adopt();
   Out.Accepted = AcceptorState.get().Accepted;
   Out.BytesIn = AcceptorState.get().BytesIn;
+  Out.PeakInflight = AcceptorState.get().PeakInflight;
   Out.Shed = AcceptorState.get().Shed;
   Out.Recoveries = AcceptorState.get().Recoveries;
   Out.DegradedNs = AcceptorState.get().DegradedNs;
@@ -508,7 +511,6 @@ template <typename P> ServeStats Server<P>::takeStats() {
   Out.FaultsInjected += LoggerState.get().FaultsInjected;
   for (unsigned K = 0; K != obs::NumSpanStages; ++K)
     Out.StageNs[K].merge(LoggerState.get().StageNs[K]);
-  Out.PeakInflight = PeakInflightLive.read();
 
   // Fold the final session values in: XOR of all OpPut sums regardless
   // of scheduling order, so it is part of the orig/sharc equivalence

@@ -119,7 +119,7 @@ struct ServeStats {
   uint64_t BytesOut = 0;
   uint64_t SessionHits = 0;
   uint64_t SessionMisses = 0;
-  uint64_t PeakInflight = 0; ///< Racy gauge: approximate by design.
+  uint64_t PeakInflight = 0; ///< Highest inflight count an admission saw.
   uint64_t ServiceNs = 0;    ///< Thread-CPU time inside handlers.
   uint64_t LogRecords = 0;
   uint64_t OpCounts[OpKinds] = {};
@@ -309,6 +309,7 @@ struct WorkerLocal {
 
 struct AcceptorLocal {
   uint64_t Accepted = 0;
+  uint64_t PeakInflight = 0;
   uint64_t BytesIn = 0;
   uint64_t Shed = 0;       ///< Refused admissions (ring full / inflight cap).
   uint64_t Recoveries = 0; ///< Degraded episodes closed.
@@ -361,6 +362,7 @@ public:
   uint64_t liveCompleted() const { return CompletedLive.read(); }
   uint64_t liveShed() const { return ShedLive.read(); }
   bool liveDegraded() const { return DegradedLive.read() != 0; }
+  uint64_t liveInflight() const { return inflight(AcceptedLive.read()); }
 
 private:
   /// Pipeline role ids used as span Tids.
@@ -375,7 +377,8 @@ private:
   /// Admission control (sharc-storm): true when \p Req must be shed —
   /// deadline already blown, inflight cap reached, or the ingress ring
   /// is full (checked by the caller via tryPush).
-  bool mustShed(const SimRequest &Req, uint64_t NowNs);
+  bool mustShed(const SimRequest &Req, const AcceptorLocal &Local,
+                uint64_t NowNs);
   /// Sheds \p Req: counted rejection back through the transport plus an
   /// Accept span pair carrying the shed outcome. No allocation, no
   /// conn-table entry, no sharing cast — shedding is cheap by design.
@@ -384,7 +387,16 @@ private:
   /// while queued): teardown plus a Handler span pair carrying the
   /// timed-out outcome.
   void dropTimedOut(Connection<P> *Conn, WorkerLocal &Local, uint32_t Role);
-  void teardownConnection(Connection<P> *Conn);
+  void teardownConnection(Connection<P> *Conn, uint32_t Role);
+  /// Connections admitted (\p Accepted of them) and not yet torn down; a
+  /// stale retired count only over-counts. The clamp covers a reader
+  /// whose \p Accepted is staler than the retirements it sees.
+  uint64_t inflight(uint64_t Accepted) const {
+    uint64_t Retired = 0;
+    for (unsigned I = 0; I != Config.get().Workers; ++I)
+      Retired += RetiredLive[I].Count.read();
+    return Accepted > Retired ? Accepted - Retired : 0;
+  }
   void handle(Connection<P> *Conn, WorkerLocal &Local, uint32_t Role);
   Session<P> *findOrCreateSession(SessionShard<P> &Shard, uint64_t Key,
                                   WorkerLocal &Local);
@@ -407,8 +419,13 @@ private:
   /// per-thread aggregates after the run).
   typename P::template Racy<uint64_t> AcceptedLive;
   typename P::template Racy<uint64_t> CompletedLive;
-  typename P::template Racy<uint64_t> InflightLive;
-  typename P::template Racy<uint64_t> PeakInflightLive;
+  /// racy, one writer each: the connections worker I has torn down.
+  /// AcceptedLive (the acceptor's alone) minus their sum is the exact
+  /// inflight gauge: with one writer per count no update is lost.
+  struct alignas(64) RetiredCount {
+    typename P::template Racy<uint64_t> Count;
+  };
+  std::unique_ptr<RetiredCount[]> RetiredLive;
   /// Degraded-mode flag (sharc-storm): set by the acceptor at the ring
   /// high watermark, cleared at the low watermark. Racy on purpose —
   /// workers poll it to shed logger work, and reading a one-update-

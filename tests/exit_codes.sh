@@ -12,16 +12,19 @@
 # Also sweeps the sharc-trace CLI contract when a 4th argument names the
 # binary: every subcommand is listed in the top-level --help, every
 # subcommand answers its own --help with exit 0, and unknown subcommands
-# exit 2.
+# exit 2. With a 5th argument naming sharc-fuzz, pins the strict
+# unsigned-flag contract both tools share with sharcc: a sign, an empty
+# value and a value past 2^64-1 are usage errors (exit 2).
 #
 # usage: exit_codes.sh <path-to-sharcc> <examples-dir> <fixtures-dir> \
-#                      [path-to-sharc-trace]
+#                      [path-to-sharc-trace [path-to-sharc-fuzz]]
 set -u
 
 SHARCC=$1
 EXAMPLES=$2
 FIXTURES=$3
 TRACE=${4:-}
+FUZZ=${5:-}
 STATUS=0
 
 expect() { # <expected-exit> <description> <args...>
@@ -128,6 +131,29 @@ if [ -n "$TRACE" ]; then
   else
     echo "ok: sharc-trace unknown subcommand --help (exit 2)"
   fi
+fi
+
+# --- strict unsigned flags in sharc-trace and sharc-fuzz ------------------
+expect_usage() { # <description> <command...>: the command must exit 2
+  WHAT=$1
+  shift
+  "$@" > /dev/null 2>&1
+  GOT=$?
+  if [ "$GOT" -ne 2 ]; then
+    echo "FAIL: $WHAT: expected exit 2, got $GOT"
+    STATUS=1
+  else
+    echo "ok: $WHAT (exit 2)"
+  fi
+}
+if [ -n "$TRACE" ] && [ -n "$FUZZ" ]; then
+  for BAD in -1 "" 18446744073709551616; do
+    # --idle-ms 0 makes an accepted value fail fast on the missing file
+    # (exit 1) instead of polling.
+    expect_usage "sharc-trace tail --poll-ms '$BAD'" "$TRACE" tail \
+      --idle-ms 0 --poll-ms "$BAD" "$FIXTURES/does_not_exist.strc"
+    expect_usage "sharc-fuzz --count '$BAD'" "$FUZZ" --count "$BAD" --quiet
+  done
 fi
 
 exit $STATUS

@@ -541,6 +541,7 @@ namespace {
 struct StormRun {
   ServeStats Stats;
   LoadResult Load;
+  uint64_t InflightAfterDrain = 0;
 };
 
 /// Runs the full pipeline with the resilience layer armed and the load
@@ -562,6 +563,7 @@ StormRun runStorm(const LoadConfig &LC, const ServeParams &SP,
   StormRun R;
   R.Load = runOpenLoop(Net, S, LC, Epoch);
   Srv.stop();
+  R.InflightAfterDrain = Srv.liveInflight();
   if (Col)
     Col->flush();
   R.Stats = Srv.takeStats();
@@ -602,6 +604,24 @@ TEST(ServeStormTest, OverloadShedsAndAccountsExactly) {
             R.Load.Offered);
   // Rejections are refusals, not failures: the error counter stays 0.
   EXPECT_EQ(R.Stats.Errors, 0u);
+}
+
+TEST(ServeStormTest, InflightGaugeIsExactUnderSeveralWorkers) {
+  // The admission gauge is the acceptor's admitted count minus one
+  // retired count per worker, each with a single writer: no update is
+  // lost, so the drained server reads exactly 0, and since a stale
+  // retired count only over-counts, the peak never passes the cap.
+  LoadConfig LC = stormLoad();
+  ServeParams SP = stormParams();
+  SP.Workers = 4;
+  SP.MaxInflight = 8;
+  StormRun R = runStorm<UncheckedPolicy>(LC, SP);
+  EXPECT_EQ(R.InflightAfterDrain, 0u);
+  EXPECT_GT(R.Stats.PeakInflight, 0u);
+  EXPECT_LE(R.Stats.PeakInflight, SP.MaxInflight);
+  EXPECT_LE(R.Stats.PeakInflight, R.Load.Offered);
+  EXPECT_EQ(R.Stats.Completed + R.Stats.TimedOut + R.Load.Dropped,
+            R.Load.Offered);
 }
 
 TEST(ServeStormTest, SharcPolicyOverloadIsViolationFree) {
