@@ -533,7 +533,7 @@ std::vector<TailEntry> tailRequests(const RequestsReport &R,
     case SpanStage::LockWait: {
       uint64_t WaitB = V.BeginNs[static_cast<unsigned>(SpanStage::LockWait)];
       uint64_t WaitE = V.EndNs[static_cast<unsigned>(SpanStage::LockWait)];
-      uint64_t BestOverlap = 0;
+      uint64_t BestOverlap = 0, Covered = 0;
       const HoldInterval *Holder = nullptr;
       if (auto It = Holds.find(V.Lock); It != Holds.end()) {
         const auto &Iv = It->second;
@@ -548,12 +548,20 @@ std::vector<TailEntry> tailRequests(const RequestsReport &R,
             continue;
           uint64_t B = std::max(HI->Begin, WaitB);
           uint64_t En = std::min(HI->End, WaitE);
-          if (En > B && En - B >= BestOverlap) {
+          if (En <= B)
+            continue;
+          Covered += En - B;
+          if (En - B >= BestOverlap) {
             BestOverlap = En - B;
             Holder = &*HI;
           }
         }
       }
+      // Holds that cover less than half the wait did not cause it: the
+      // lock sat free while the waiter was descheduled, so no holder is
+      // blamed.
+      if (2 * Covered < WaitE - WaitB)
+        Holder = nullptr;
       E.C = Holder ? TailEntry::Cause::LockHolder
                    : TailEntry::Cause::LockWaiter;
       E.Detail = "lock wait " + fmtUs(E.DominantNs) + " on lock " +

@@ -270,26 +270,35 @@ std::string renderSchedule(const TraceData &Data) {
 }
 
 std::string renderDump(const TraceData &Data) {
+  DumpCursor At;
+  return renderDumpFrom(Data, At, /*Final=*/true);
+}
+
+std::string renderDumpFrom(const TraceData &Data, DumpCursor &At,
+                           bool Final) {
   std::ostringstream OS;
-  size_t Sample = 0;
-  size_t Span = 0;
-  for (size_t I = 0; I <= Data.Events.size(); ++I) {
-    while (Sample < Data.SamplePos.size() && Data.SamplePos[Sample] == I) {
-      const rt::StatsSnapshot &S = Data.Samples[Sample];
+  // Samples and spans at position I were decoded before event I, so
+  // every position below Events.size() is complete.
+  for (size_t &I = At.Event; I <= Data.Events.size(); ++I) {
+    if (I == Data.Events.size() && !Final)
+      break;
+    while (At.Sample < Data.SamplePos.size() &&
+           Data.SamplePos[At.Sample] == I) {
+      const rt::StatsSnapshot &S = Data.Samples[At.Sample];
       OS << "stats-sample accesses=" << S.dynamicAccesses()
          << " conflicts=" << S.totalConflicts()
          << " metadata-bytes=" << S.metadataBytes() << "\n";
-      ++Sample;
+      ++At.Sample;
     }
-    while (Span < Data.SpanPos.size() && Data.SpanPos[Span] == I) {
-      const SpanRecord &S = Data.Spans[Span];
+    while (At.Span < Data.SpanPos.size() && Data.SpanPos[At.Span] == I) {
+      const SpanRecord &S = Data.Spans[At.Span];
       OS << (S.Begin ? "span-begin" : "span-end")
          << " stage=" << spanStageName(S.Stage) << " req=" << S.Req
          << " tid=" << S.Tid << " t=" << S.TimeNs;
       if (S.Arg)
         OS << " arg=" << S.Arg;
       OS << "\n";
-      ++Span;
+      ++At.Span;
     }
     if (I == Data.Events.size())
       break;

@@ -76,6 +76,18 @@ std::string renderSchedule(const TraceData &Data);
 /// Every record, one line each, for debugging.
 std::string renderDump(const TraceData &Data);
 
+/// How far an incremental dump of a growing TraceData has got.
+struct DumpCursor {
+  size_t Event = 0, Sample = 0, Span = 0;
+};
+
+/// The dump lines of the records past \p At, advancing it — what
+/// `sharc-trace tail` prints as a trace grows. Samples and spans that
+/// follow the last decoded event are held back unless \p Final, since a
+/// later record could still sort before them; so the calls' outputs
+/// joined, the last one Final, are exactly renderDump of the same data.
+std::string renderDumpFrom(const TraceData &Data, DumpCursor &At, bool Final);
+
 } // namespace sharc::obs
 
 #endif // SHARC_OBS_SUMMARY_H

@@ -539,22 +539,24 @@ bool parseTrace(std::string_view Buf, TraceData &Out, std::string &Error) {
   }
 }
 
-bool loadTraceFile(const std::string &Path, TraceData &Out,
-                   std::string &Error) {
+bool readFile(const std::string &Path, std::string &Out) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    Error = "cannot open '" + Path + "'";
+  if (!F)
     return false;
-  }
-  std::string Buf;
   char Chunk[1 << 16];
   size_t N;
   while ((N = std::fread(Chunk, 1, sizeof(Chunk), F)) > 0)
-    Buf.append(Chunk, N);
-  bool ReadErr = std::ferror(F) != 0;
+    Out.append(Chunk, N);
+  bool Ok = std::ferror(F) == 0;
   std::fclose(F);
-  if (ReadErr) {
-    Error = "read error on '" + Path + "'";
+  return Ok;
+}
+
+bool loadTraceFile(const std::string &Path, TraceData &Out,
+                   std::string &Error) {
+  std::string Buf;
+  if (!readFile(Path, Buf)) {
+    Error = "cannot read '" + Path + "'";
     return false;
   }
   return parseTrace(Buf, Out, Error);

@@ -207,6 +207,10 @@ RecordParse parseOneRecord(std::string_view Buf, size_t &Pos, TraceData &Out,
 /// missing end record), or a record-count mismatch.
 bool parseTrace(std::string_view Buf, TraceData &Out, std::string &Error);
 
+/// Appends the whole of file \p Path to \p Out; false when it cannot be
+/// opened or read.
+bool readFile(const std::string &Path, std::string &Out);
+
 /// Reads Path and parses it.
 bool loadTraceFile(const std::string &Path, TraceData &Out,
                    std::string &Error);

@@ -16,7 +16,7 @@
 /// rt/Guard.h: the interpreter publishes LiveSnapshots without linking
 /// sharc_rt; the HTTP listener itself (rt/StatsServer.h) lives inside
 /// sharc_rt. The Prometheus text rendering is also here, as is the
-/// metric-name mapping (forEachStatMetric) that `sharc-trace check-live`
+/// metric-name mapping (forEachStatMetric) that `sharc-trace check-prom`
 /// uses to cross-check a scrape against a trace's final stats sample —
 /// one definition, so the endpoint and the checker cannot drift apart.
 ///
@@ -41,7 +41,7 @@ namespace live {
 struct LiveSnapshot {
   /// The runtime counter snapshot — for a finished run this is exactly
   /// the final stats sample written into the .strc trace, which is what
-  /// the acceptance check `sharc-trace check-live` pins.
+  /// the acceptance check `sharc-trace check-prom` pins.
   rt::StatsSnapshot Stats;
 
   /// Violations observed including deduplicated repeats (the counter
@@ -185,7 +185,7 @@ inline std::string renderPrometheus(const LiveSnapshot &S, uint64_t Scrapes) {
   Out.reserve(2048);
 
   // The StatsSnapshot projection. Series come from forEachStatMetric —
-  // the same mapping `sharc-trace check-live` verifies scrapes against —
+  // the same mapping `sharc-trace check-prom` verifies scrapes against —
   // already grouped by family, so a header is emitted on family change.
   // Families whose name ends in _total are counters, the rest gauges
   // (byte footprints shrink when memory is released).

@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one strict unsigned parser every CLI flag and environment variable
-/// goes through, and the "--flag VALUE" / "--flag=VALUE" matcher the CLIs
-/// share. A number is base-10 digits that fit in 64 bits: no sign, no
-/// blanks, no trailing garbage, not empty, no wrap-around or saturation.
+/// The strict number parsers every CLI flag and environment variable goes
+/// through, and the "--flag VALUE" / "--flag=VALUE" matcher the CLIs
+/// share. An unsigned number is base-10 digits that fit in 64 bits: no
+/// sign, no blanks, no trailing garbage, not empty, no wrap-around or
+/// saturation. A decimal is a finite double in std::from_chars' general
+/// format under the same rules: never nan or inf, which would make every
+/// comparison against it false.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +19,7 @@
 #define SHARC_SUPPORT_ARGS_H
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -34,18 +38,42 @@ inline bool parseU64(std::string_view Text, uint64_t &Out) {
   return true;
 }
 
-/// parseU64 for the value of flag \p Flag, null when it is missing; a
-/// missing or rejected value is reported on stderr under program \p Prog.
-inline bool parseU64Flag(const char *Prog, const char *Flag, const char *Text,
-                         uint64_t &Out) {
+/// Parses \p Text strictly as a finite decimal; \p Out is written only on
+/// success.
+inline bool parseDecimal(std::string_view Text, double &Out) {
+  const char *End = Text.data() + Text.size();
+  double Value = 0;
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Text.empty() || Ec != std::errc() || Ptr != End || !std::isfinite(Value))
+    return false;
+  Out = Value;
+  return true;
+}
+
+/// The value of flag \p Flag, null when it is missing, parsed by
+/// \p Parse; a missing or rejected value is reported on stderr under
+/// program \p Prog.
+template <typename T>
+bool parseFlag(const char *Prog, const char *Flag, const char *Text, T &Out,
+               bool (*Parse)(std::string_view, T &), const char *Expects) {
   if (!Text)
     std::fprintf(stderr, "%s: %s needs a value\n", Prog, Flag);
-  else if (parseU64(Text, Out))
+  else if (Parse(Text, Out))
     return true;
   else
-    std::fprintf(stderr, "%s: %s expects an unsigned integer, got '%s'\n",
-                 Prog, Flag, Text);
+    std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", Prog, Flag, Expects,
+                 Text);
   return false;
+}
+
+inline bool parseU64Flag(const char *Prog, const char *Flag, const char *Text,
+                         uint64_t &Out) {
+  return parseFlag(Prog, Flag, Text, Out, parseU64, "an unsigned integer");
+}
+
+inline bool parseDecimalFlag(const char *Prog, const char *Flag,
+                             const char *Text, double &Out) {
+  return parseFlag(Prog, Flag, Text, Out, parseDecimal, "a finite number");
 }
 
 /// Matches a value-taking flag in either spelling, "--flag VALUE" or

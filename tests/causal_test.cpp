@@ -533,6 +533,25 @@ TEST(Requests, TailNamesLockHolderFromOverlappingHold) {
     }
 }
 
+TEST(Requests, TailBlamesNoHolderForAWaitTheHoldsDoNotCover) {
+  // Request 2 waits from t=100 to t=3100, but the only hold on the lock
+  // ends at t=105: for the rest of the wait the lock was free and the
+  // waiter was descheduled, so naming request 1 would be wrong.
+  TraceData Data;
+  uint64_t HolderDur[NumSpanStages] = {10, 10, 10, 5, 80, 10, 10};
+  addRequest(Data, 1, 0, HolderDur); // LockHold [25, 105)
+  uint64_t VictimDur[NumSpanStages] = {10, 10, 10, 3000, 5, 10, 10};
+  addRequest(Data, 2, 80, VictimDur); // LockWait [100, 3100)
+
+  RequestsReport R = buildRequests(Data);
+  std::vector<TailEntry> Tail = tailRequests(R, Data, 100.0);
+  ASSERT_FALSE(Tail.empty());
+  EXPECT_EQ(Tail[0].Req, 2u);
+  EXPECT_EQ(Tail[0].Dominant, SpanStage::LockWait);
+  EXPECT_EQ(Tail[0].C, TailEntry::Cause::LockWaiter);
+  EXPECT_FALSE(Tail[0].HasHolder);
+}
+
 TEST(Requests, TailDistinguishesQueueWaitAndCheckCost) {
   TraceData Data;
   uint64_t QueueDur[NumSpanStages] = {10, 9000, 10, 5, 5, 10, 10};

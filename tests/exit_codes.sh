@@ -12,9 +12,12 @@
 # Also sweeps the sharc-trace CLI contract when a 4th argument names the
 # binary: every subcommand is listed in the top-level --help, every
 # subcommand answers its own --help with exit 0, and unknown subcommands
-# exit 2. With a 5th argument naming sharc-fuzz, pins the strict
-# unsigned-flag contract both tools share with sharcc: a sign, an empty
-# value and a value past 2^64-1 are usage errors (exit 2).
+# exit 2, among them timeline, critical-path and check-live, whose jobs
+# report and check-prom do.
+# With a 5th argument naming sharc-fuzz, pins the strict number-flag
+# contract both tools share with sharcc: a sign, an empty value and a
+# value past 2^64-1 are usage errors (exit 2), and so are nan and
+# out-of-range percentages.
 #
 # usage: exit_codes.sh <path-to-sharcc> <examples-dir> <fixtures-dir> \
 #                      [path-to-sharc-trace [path-to-sharc-fuzz]]
@@ -80,8 +83,7 @@ expect_env SHARC_FAULT=bogus 3 "malformed SHARC_FAULT" \
 # --- sharc-trace CLI contract -------------------------------------------
 if [ -n "$TRACE" ]; then
   SUBCOMMANDS="summarize dump schedule metrics profile export-chrome
-               tail timeline critical-path report
-               scrape check-prom check-live
+               tail report requests scrape check-prom
                check-bench check-metrics check-overhead compare-runs"
 
   TOPHELP=$("$TRACE" --help 2>&1)
@@ -105,6 +107,28 @@ if [ -n "$TRACE" ]; then
     else
       echo "ok: sharc-trace $CMD --help (exit 0)"
     fi
+  done
+
+  LISTED=$(printf '%s\n' "$TOPHELP" | grep -c '^  [a-z]')
+  if [ "$LISTED" -ne 15 ]; then
+    echo "FAIL: sharc-trace --help lists $LISTED subcommands, expected 15"
+    STATUS=1
+  else
+    echo "ok: sharc-trace --help lists 15 subcommands"
+  fi
+  # Folded into report and check-prom.
+  for CMD in timeline critical-path check-live; do
+    for ARGS in "" --help; do
+      # shellcheck disable=SC2086
+      "$TRACE" "$CMD" $ARGS > /dev/null 2>&1
+      GOT=$?
+      if [ "$GOT" -ne 2 ]; then
+        echo "FAIL: sharc-trace $CMD $ARGS: expected exit 2, got $GOT"
+        STATUS=1
+      else
+        echo "ok: sharc-trace $CMD $ARGS is unknown (exit 2)"
+      fi
+    done
   done
 
   "$TRACE" > /dev/null 2>&1
@@ -153,6 +177,20 @@ if [ -n "$TRACE" ] && [ -n "$FUZZ" ]; then
     expect_usage "sharc-trace tail --poll-ms '$BAD'" "$TRACE" tail \
       --idle-ms 0 --poll-ms "$BAD" "$FIXTURES/does_not_exist.strc"
     expect_usage "sharc-fuzz --count '$BAD'" "$FUZZ" --count "$BAD" --quiet
+  done
+  # Percentages are strict finite decimals: with nan every comparison is
+  # false and a regression gate always passes. The missing inputs make
+  # an accepted value fail with exit 1 instead.
+  MISSING="$FIXTURES/does_not_exist.json"
+  for BAD in nan "" inf " 2" 2x -1; do
+    expect_usage "sharc-trace check-overhead --max-pct '$BAD'" "$TRACE" \
+      check-overhead --max-pct "$BAD" "$MISSING" "$MISSING"
+    expect_usage "sharc-trace compare-runs --max-pct='$BAD'" "$TRACE" \
+      compare-runs "--max-pct=$BAD" "$FIXTURES/does_not_exist"
+  done
+  for BAD in nan 0 "" 101; do
+    expect_usage "sharc-trace requests --tail '$BAD'" "$TRACE" \
+      requests --tail "$BAD" "$FIXTURES/does_not_exist.strc"
   done
 fi
 

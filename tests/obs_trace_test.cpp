@@ -17,6 +17,7 @@
 #include "obs/MetricsJson.h"
 #include "obs/Summary.h"
 #include "obs/TraceFile.h"
+#include "obs/TraceTail.h"
 
 #include <gtest/gtest.h>
 
@@ -867,6 +868,42 @@ TEST(ObsTraceFile, SpansInterleaveInDump) {
   // The span prints after the read it follows and before the write.
   EXPECT_LT(Dump.find("read"), SpanAt) << Dump;
   EXPECT_GT(Dump.find("write"), SpanAt) << Dump;
+}
+
+TEST(ObsTraceFile, IncrementalDumpEqualsBatchAtEveryChunking) {
+  // `sharc-trace tail` prints renderDumpFrom over a TailParser fed the
+  // file as it grows. Whatever the chunking, its output must be the
+  // batch dump: samples and spans that share a position with (or trail)
+  // the last decoded event keep dump's order.
+  TraceWriter W;
+  SpanRecord S;
+  S.Req = 7;
+  W.span(S);
+  W.event({EventKind::Read, 1, 2, 3, 0});
+  W.stats(sampleStats());
+  S.Begin = false;
+  W.span(S);
+  W.stats(sampleStats());
+  W.event({EventKind::Write, 1, 2, 3, 0});
+  W.span(S);
+  W.stats(sampleStats());
+  std::string Buf = W.buffer();
+  TraceData Data;
+  std::string Error;
+  ASSERT_TRUE(parseTrace(Buf, Data, Error)) << Error;
+  std::string Batch = renderDump(Data);
+  for (size_t Chunk = 1; Chunk <= Buf.size(); ++Chunk) {
+    TailParser P;
+    DumpCursor At;
+    std::string Out;
+    for (size_t Pos = 0; Pos < Buf.size(); Pos += Chunk) {
+      P.push(std::string_view(Buf).substr(Pos, Chunk));
+      Out += renderDumpFrom(P.data(), At, /*Final=*/false);
+    }
+    ASSERT_TRUE(P.done());
+    Out += renderDumpFrom(P.data(), At, /*Final=*/true);
+    EXPECT_EQ(Out, Batch) << "chunk size " << Chunk;
+  }
 }
 
 TEST(ObsCollector, SpansShareRingsWithoutLeakingSentinel) {

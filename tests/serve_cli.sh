@@ -174,6 +174,17 @@ expect_exit 0 "traced run with injected stall" \
 expect_exit 0 "check-bench accepts the traced report" \
   "$TRACE" check-bench "$WORK/spans.json"
 
+# tail prints what dump prints, span records included, plus its footer.
+"$TRACE" dump "$WORK/spans.strc" > "$WORK/spans.dump"
+"$TRACE" tail --idle-ms 0 "$WORK/spans.strc" | grep -v '^tail: ' \
+  > "$WORK/spans.tail"
+if grep -q '^span-begin' "$WORK/spans.dump" &&
+   cmp -s "$WORK/spans.dump" "$WORK/spans.tail"; then
+  echo "ok: tail output minus its footer equals dump, spans included"
+else
+  fail "tail output differs from dump on the traced run"
+fi
+
 SUMMARY=$("$TRACE" summarize "$WORK/spans.strc")
 if echo "$SUMMARY" | grep -q "format: v4"; then
   echo "ok: summarize reports the v4 format"

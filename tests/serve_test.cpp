@@ -28,7 +28,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 using namespace sharc;
@@ -356,14 +359,49 @@ namespace {
 /// Runs the pipeline with span tracing armed; the spans land in \p Out
 /// (a VectorSink is not thread-safe, so a Collector fronts it — the
 /// same sink the sharc-serve CLI wires up for --trace-out).
+/// Forwards everything to Next and holds each injected stall inside its
+/// lock section until some other request is waiting for that lock. A
+/// victim is then known to sit in lock-wait for the whole spin, however
+/// the machine schedules the threads. The wait is bounded: a stall with
+/// no request left to queue behind it goes ahead after a second.
+class StallGate final : public obs::Sink {
+public:
+  explicit StallGate(uint64_t Every) : Every(Every) {}
+  obs::Sink *Next = nullptr;
+
+  void event(const obs::Event &Ev) override { Next->event(Ev); }
+  void span(const obs::SpanRecord &S) override {
+    Next->span(S);
+    std::unique_lock<std::mutex> Lock(M);
+    if (S.Stage == obs::SpanStage::LockWait) {
+      // A wait ends only once its lock is held, so every request counted
+      // here while a stall holds the lock is queued behind that stall.
+      Waiting += S.Begin ? 1 : -1;
+      Changed.notify_all();
+    } else if (S.Stage == obs::SpanStage::LockHold && S.Begin &&
+               S.Req % Every == 0) {
+      Changed.wait_for(Lock, std::chrono::seconds(1),
+                       [&] { return Waiting > 0; });
+    }
+  }
+
+private:
+  uint64_t Every;
+  std::mutex M;
+  std::condition_variable Changed;
+  int64_t Waiting = 0;
+};
+
 template <typename P>
 ServeStats runServerTraced(const LoadConfig &LC, const ServeParams &SP,
-                           obs::VectorSink &Out) {
+                           obs::VectorSink &Out, StallGate *Gate = nullptr) {
   obs::Collector Col(Out, 1u << 15);
   SimTransport Net;
   SteadyClock::time_point Epoch = SteadyClock::now();
   Server<P> Srv(SP, Net, Epoch);
-  Srv.setTrace(&Col);
+  if (Gate)
+    Gate->Next = &Col;
+  Srv.setTrace(Gate ? static_cast<obs::Sink *>(Gate) : &Col);
   Srv.start();
   std::vector<Arrival> S = buildSchedule(LC);
   runOpenLoop(Net, S, LC, Epoch);
@@ -786,15 +824,21 @@ TEST(ServeSpanTest, InjectedStallIsAttributedToTheHoldingRequest) {
   // single session-shard lock, so requests behind it pile up in
   // lock-wait. The tail analysis must name the stalling HOLDER request
   // for at least one victim — and every named holder must be one of the
-  // injected stalls.
+  // injected stalls. The gate makes each stall wait, lock held, until a
+  // victim queues behind it, so the test does not rely on the machine
+  // running a second worker during the spin.
   LoadConfig LC = smallLoad();
-  LC.RatePerSec = 20000; // gentle: lock contention, not ring backlog
+  // Gentle: a stall every 16ms of arrivals, so the ring drains between
+  // stalls and a victim's wait is lock-wait, not ring backlog. At rates
+  // where the stalls outrun the arrivals, ring-wait dominates instead.
+  LC.RatePerSec = 2000;
   ServeParams SP = smallParams();
   SP.SessionShardCount = 1; // one lock: all requests contend
   SP.InjectStallEvery = 32;
   SP.InjectStallNanos = 2000000;
   obs::VectorSink Out;
-  ServeStats S = runServerTraced<UncheckedPolicy>(LC, SP, Out);
+  StallGate Gate(SP.InjectStallEvery);
+  ServeStats S = runServerTraced<UncheckedPolicy>(LC, SP, Out, &Gate);
   ASSERT_EQ(S.Completed, LC.totalRequests());
 
   obs::RequestsReport R = requestsOf(Out);

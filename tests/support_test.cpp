@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Args.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 #include "support/StringInterner.h"
@@ -114,4 +115,20 @@ TEST(StringInternerTest, DistinctStringsDiffer) {
   std::string_view VB = Interner.intern("cv");
   EXPECT_NE(VA.data(), VB.data());
   EXPECT_EQ(Interner.size(), 2u);
+}
+
+TEST(ArgsTest, ParseDecimalTakesOnlyFiniteNumbers) {
+  double V = 0;
+  EXPECT_TRUE(parseDecimal("2", V));
+  EXPECT_EQ(V, 2.0);
+  EXPECT_TRUE(parseDecimal("0.25", V));
+  EXPECT_EQ(V, 0.25);
+  EXPECT_TRUE(parseDecimal("-1e1", V));
+  EXPECT_EQ(V, -10.0);
+  // nan would make every comparison against a bound false.
+  for (const char *Bad : {"", "nan", "NaN", "inf", "-inf", "infinity",
+                          " 2", "2 ", "2x", "+2", "1e999", "0x10"}) {
+    EXPECT_FALSE(parseDecimal(Bad, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, -10.0) << "'" << Bad << "' wrote the output";
+  }
 }
