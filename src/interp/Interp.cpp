@@ -8,6 +8,7 @@
 
 #include "interp/Schedule.h"
 #include "obs/Sink.h"
+#include "rt/LockLog.h"
 #include "rt/SharingWord.h"
 
 #include <algorithm>
@@ -159,8 +160,7 @@ struct ThreadCtx {
   Addr ReacquireLock = 0;
   std::vector<Frame> Frames;
   std::vector<Addr> AccessLog;
-  std::vector<Addr> HeldLocks;
-  std::vector<Addr> HeldSharedLocks; ///< rwlock read holds
+  rt::LockLog<Addr> Locks;
 
   //===--- profiling (InterpOptions::Profile) -------------------------------
   /// Step count when this thread first blocked on its pending lock
@@ -604,20 +604,15 @@ void Machine::chkLock(ThreadCtx &T, Frame &F, const AccessCheck &Check,
   } else {
     LockValue = evalExpr(T, F, Check.LockExpr);
   }
-  Addr Lock = static_cast<Addr>(LockValue);
-  for (Addr Held : T.HeldLocks)
-    if (Held == Lock)
-      return;
-  if (Check.K == AccessCheck::Kind::LockShared)
-    for (Addr Held : T.HeldSharedLocks)
-      if (Held == Lock)
-        return;
+  bool ReadNeed = Check.K == AccessCheck::Kind::LockShared;
+  if (T.Locks.holds(static_cast<Addr>(LockValue),
+                    ReadNeed ? rt::LockMode::Shared : rt::LockMode::Exclusive))
+    return;
   if (isCellQuarantined(A))
     return;
   report(Violation::Kind::LockViolation, T, A, Node, nullptr,
-         Check.K == AccessCheck::Kind::LockShared
-             ? "required lock is not held (shared or exclusive)"
-             : "required lock is not held");
+         ReadNeed ? "required lock is not held (shared or exclusive)"
+                  : "required lock is not held");
 }
 
 void Machine::runChecks(ThreadCtx &T, Frame &F, const Expr *Node, Addr A) {
@@ -1011,7 +1006,7 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
     unsigned &Owner = LockOwner[Lock];
     if (Owner == 0) {
       Owner = T.Tid;
-      T.HeldLocks.push_back(Lock);
+      T.Locks.acquire(Lock, rt::LockMode::Exclusive);
       emit(TraceEvent::Kind::LockAcquire, T, Lock);
       profLockAcquired(T, Lock, Call->Loc.Line);
       return true;
@@ -1038,11 +1033,7 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
       return true;
     }
     Owner = 0;
-    for (auto It = T.HeldLocks.begin(); It != T.HeldLocks.end(); ++It)
-      if (*It == Lock) {
-        T.HeldLocks.erase(It);
-        break;
-      }
+    T.Locks.release(Lock, rt::LockMode::Exclusive);
     profLockReleased(T, Lock);
     emit(TraceEvent::Kind::LockRelease, T, Lock);
     wakeLockWaiters(Lock);
@@ -1059,11 +1050,7 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
       return true;
     }
     Owner = 0;
-    for (auto It = T.HeldLocks.begin(); It != T.HeldLocks.end(); ++It)
-      if (*It == Lock) {
-        T.HeldLocks.erase(It);
-        break;
-      }
+    T.Locks.release(Lock, rt::LockMode::Exclusive);
     profLockReleased(T, Lock);
     emit(TraceEvent::Kind::LockRelease, T, Lock);
     wakeLockWaiters(Lock);
@@ -1132,22 +1119,19 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
       return false;
     }
     ++ReaderCount[Lock];
-    T.HeldSharedLocks.push_back(Lock);
+    T.Locks.acquire(Lock, rt::LockMode::Shared);
     emit(TraceEvent::Kind::LockAcquire, T, Lock);
     profLockAcquired(T, Lock, Call->Loc.Line);
     return true;
   }
   if (Name == "rwlock_rdunlock") {
     Addr Lock = static_cast<Addr>(Args[0]);
-    auto It = std::find(T.HeldSharedLocks.begin(), T.HeldSharedLocks.end(),
-                        Lock);
-    if (It == T.HeldSharedLocks.end()) {
+    if (!T.Locks.release(Lock, rt::LockMode::Shared)) {
       report(Violation::Kind::RuntimeError, T, Lock, Call, nullptr,
              "rwlock_rdunlock without a shared hold");
       T.State = ThreadCtx::St::Failed;
       return true;
     }
-    T.HeldSharedLocks.erase(It);
     profLockReleased(T, Lock);
     emit(TraceEvent::Kind::LockRelease, T, Lock);
     if (--ReaderCount[Lock] == 0)
@@ -1164,7 +1148,7 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
       return false;
     }
     LockOwner[Lock] = T.Tid;
-    T.HeldLocks.push_back(Lock);
+    T.Locks.acquire(Lock, rt::LockMode::Exclusive);
     emit(TraceEvent::Kind::LockAcquire, T, Lock);
     profLockAcquired(T, Lock, Call->Loc.Line);
     return true;
@@ -1178,11 +1162,7 @@ bool Machine::execBuiltin(ThreadCtx &T, const FuncDecl *F,
       return true;
     }
     LockOwner[Lock] = 0;
-    for (auto It = T.HeldLocks.begin(); It != T.HeldLocks.end(); ++It)
-      if (*It == Lock) {
-        T.HeldLocks.erase(It);
-        break;
-      }
+    T.Locks.release(Lock, rt::LockMode::Exclusive);
     profLockReleased(T, Lock);
     emit(TraceEvent::Kind::LockRelease, T, Lock);
     wakeLockWaiters(Lock);
@@ -1539,7 +1519,7 @@ void Machine::step(ThreadCtx &T) {
       return;
     }
     Owner = T.Tid;
-    T.HeldLocks.push_back(T.ReacquireLock);
+    T.Locks.acquire(T.ReacquireLock, rt::LockMode::Exclusive);
     emit(TraceEvent::Kind::LockAcquire, T, T.ReacquireLock);
     profLockAcquired(T, T.ReacquireLock, T.ReacquireLine);
     T.ReacquireLock = 0;

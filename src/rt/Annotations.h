@@ -76,15 +76,61 @@ private:
   std::thread Impl;
 };
 
+namespace detail {
+
+/// Polls \p TryLock until it succeeds or \p Millis pass. \returns
+/// whether it got the lock.
+template <typename TryFn> bool pollFor(uint64_t Millis, TryFn &TryLock) {
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(Millis);
+  do {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    if (TryLock())
+      return true;
+  } while (std::chrono::steady_clock::now() < Deadline);
+  return false;
+}
+
+/// The one instrumented blocking acquire, for both lock classes and both
+/// modes: \p TryLock attempts without blocking, \p BlockLock waits. With
+/// neither the watchdog nor profiling armed it is one predictable branch
+/// before the blocking call. Armed, a contended acquire is timed for the
+/// lock profile and, under the watchdog, polled until the budget runs
+/// out; it then files a stall report naming the holder and keeps waiting
+/// (the watchdog diagnoses hangs, it does not break them).
+template <typename TryFn, typename BlockFn>
+void acquireLock(const void *Lock, rt::LockMode Mode, const AccessSite *Site,
+                 TryFn TryLock, BlockFn BlockLock) {
+  rt::Runtime &RT = rt::Runtime::get();
+  if (!RT.lockPathArmed()) [[likely]] {
+    BlockLock();
+    RT.onLockAcquire(Lock, Mode);
+    return;
+  }
+  uint64_t Start = rt::readTsc();
+  uint64_t Budget = RT.watchdogMillis();
+  // An injected lock-timeout fault stalls even an uncontended acquire.
+  bool Forced = Budget != 0 && guard::faultLockTimeout();
+  bool Contended = Forced || !TryLock();
+  if (Contended) {
+    RT.onLockWait(Lock, Site);
+    if (Forced || Budget == 0 || !pollFor(Budget, TryLock)) {
+      if (Budget != 0)
+        RT.reportLockStall(Lock, Site);
+      BlockLock();
+    }
+  }
+  RT.onLockAcquire(Lock, Mode, Site, Contended ? rt::readTsc() - Start : 0,
+                   Contended);
+}
+
+} // namespace detail
+
 /// Mutex whose acquire/release maintain the per-thread lock log the
-/// locked-mode check consults (Section 4.2.2). When profiling is on,
-/// acquires go through a timed path that measures wait cycles and
-/// attributes them to the acquiring site (or the declaration site).
-/// When the guard watchdog is armed (GuardConfig::WatchdogMillis or
-/// SHARC_WATCHDOG_MS), acquires go through a timed path that reports a
-/// stall -- naming the holder -- if the lock is not obtained within the
-/// watchdog interval, then keep waiting (the watchdog diagnoses hangs,
-/// it does not break them).
+/// locked-mode check consults (Section 4.2.2). Acquires go through
+/// detail::acquireLock, which times them when profiling is on and
+/// reports stalls when the guard watchdog is armed (GuardConfig::
+/// WatchdogMillis or SHARC_WATCHDOG_MS).
 class Mutex {
 public:
   Mutex() = default;
@@ -93,75 +139,23 @@ public:
   explicit Mutex(const AccessSite *Site) : DeclSite(Site) {}
 
   void lock(const AccessSite *Site = nullptr) {
-    rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]] {
-      lockGuarded(RT, Site);
-      return;
-    }
-    if (RT.profilingEnabled()) [[unlikely]] {
-      lockProfiled(RT, Site);
-      return;
-    }
-    Impl.lock();
-    RT.onLockAcquire(this);
+    detail::acquireLock(
+        this, rt::LockMode::Exclusive, Site ? Site : DeclSite,
+        [this] { return Impl.try_lock(); }, [this] { Impl.lock(); });
   }
   void unlock() {
     rt::Runtime::get().onLockRelease(this);
     Impl.unlock();
   }
+  /// Never waits, so it records the hold directly.
   bool try_lock() {
     if (!Impl.try_lock())
       return false;
-    rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]]
-      RT.noteLockHolder(this, site(nullptr));
-    if (RT.profilingEnabled()) [[unlikely]]
-      RT.onLockAcquireProfiled(this, site(nullptr), 0, false);
-    else
-      RT.onLockAcquire(this);
+    rt::Runtime::get().onLockAcquire(this, rt::LockMode::Exclusive, DeclSite);
     return true;
   }
 
 private:
-  const AccessSite *site(const AccessSite *S) const {
-    return S ? S : DeclSite;
-  }
-
-  void lockProfiled(rt::Runtime &RT, const AccessSite *S) {
-    uint64_t Start = rt::readTsc();
-    bool Contended = !Impl.try_lock();
-    if (Contended) {
-      RT.onLockWait(this, site(S));
-      Impl.lock();
-    }
-    RT.onLockAcquireProfiled(this, site(S),
-                             Contended ? rt::readTsc() - Start : 0, Contended);
-  }
-
-  void lockGuarded(rt::Runtime &RT, const AccessSite *S) {
-    if (!guard::faultLockTimeout()) {
-      auto Deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(RT.watchdogMillis());
-      for (;;) {
-        if (Impl.try_lock()) {
-          RT.noteLockHolder(this, site(S));
-          RT.onLockAcquire(this);
-          return;
-        }
-        if (std::chrono::steady_clock::now() >= Deadline)
-          break;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-    // Watchdog expired (or an injected lock-timeout fault fired): report
-    // the stall with holder attribution, then fall back to a plain
-    // blocking acquire.
-    RT.reportLockStall(this, site(S));
-    Impl.lock();
-    RT.noteLockHolder(this, site(S));
-    RT.onLockAcquire(this);
-  }
-
   std::mutex Impl;
   const AccessSite *DeclSite = nullptr;
 };
@@ -169,8 +163,7 @@ private:
 using LockGuard = std::lock_guard<Mutex>;
 using UniqueLock = std::unique_lock<Mutex>;
 
-/// Reader-writer mutex maintaining the lock log in both modes: exclusive
-/// holds land in the ordinary lock log, shared holds in the shared log.
+/// Reader-writer mutex whose holds land in the lock log with their mode.
 /// Supports the rwlocked sharing mode (a Section 7 extension).
 class SharedMutex {
 public:
@@ -178,93 +171,26 @@ public:
   explicit SharedMutex(const AccessSite *Site) : DeclSite(Site) {}
 
   void lock(const AccessSite *Site = nullptr) {
-    rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]] {
-      if (!guard::faultLockTimeout()) {
-        auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(RT.watchdogMillis());
-        for (;;) {
-          if (Impl.try_lock()) {
-            RT.noteLockHolder(this, site(Site));
-            RT.onLockAcquire(this);
-            return;
-          }
-          if (std::chrono::steady_clock::now() >= Deadline)
-            break;
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-      RT.reportLockStall(this, site(Site));
-      Impl.lock();
-      RT.noteLockHolder(this, site(Site));
-      RT.onLockAcquire(this);
-      return;
-    }
-    if (RT.profilingEnabled()) [[unlikely]] {
-      uint64_t Start = rt::readTsc();
-      bool Contended = !Impl.try_lock();
-      if (Contended) {
-        RT.onLockWait(this, site(Site));
-        Impl.lock();
-      }
-      RT.onLockAcquireProfiled(this, site(Site),
-                               Contended ? rt::readTsc() - Start : 0,
-                               Contended);
-      return;
-    }
-    Impl.lock();
-    RT.onLockAcquire(this);
+    detail::acquireLock(
+        this, rt::LockMode::Exclusive, Site ? Site : DeclSite,
+        [this] { return Impl.try_lock(); }, [this] { Impl.lock(); });
   }
   void unlock() {
     rt::Runtime::get().onLockRelease(this);
     Impl.unlock();
   }
   void lock_shared(const AccessSite *Site = nullptr) {
-    rt::Runtime &RT = rt::Runtime::get();
-    if (RT.watchdogMillis() != 0) [[unlikely]] {
-      if (!guard::faultLockTimeout()) {
-        auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(RT.watchdogMillis());
-        for (;;) {
-          if (Impl.try_lock_shared()) {
-            RT.onSharedLockAcquire(this);
-            return;
-          }
-          if (std::chrono::steady_clock::now() >= Deadline)
-            break;
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-      RT.reportLockStall(this, site(Site));
-      Impl.lock_shared();
-      RT.onSharedLockAcquire(this);
-      return;
-    }
-    if (RT.profilingEnabled()) [[unlikely]] {
-      uint64_t Start = rt::readTsc();
-      bool Contended = !Impl.try_lock_shared();
-      if (Contended) {
-        RT.onLockWait(this, site(Site));
-        Impl.lock_shared();
-      }
-      RT.onSharedLockAcquireProfiled(this, site(Site),
-                                     Contended ? rt::readTsc() - Start : 0,
-                                     Contended);
-      return;
-    }
-    Impl.lock_shared();
-    RT.onSharedLockAcquire(this);
+    detail::acquireLock(
+        this, rt::LockMode::Shared, Site ? Site : DeclSite,
+        [this] { return Impl.try_lock_shared(); },
+        [this] { Impl.lock_shared(); });
   }
   void unlock_shared() {
-    rt::Runtime::get().onSharedLockRelease(this);
+    rt::Runtime::get().onLockRelease(this, rt::LockMode::Shared);
     Impl.unlock_shared();
   }
 
 private:
-  const AccessSite *site(const AccessSite *S) const {
-    return S ? S : DeclSite;
-  }
-
   std::shared_mutex Impl;
   const AccessSite *DeclSite = nullptr;
 };
@@ -459,11 +385,11 @@ public:
   RwLocked(SharedMutex &Lock, T Init) : Lock(&Lock), Value(std::move(Init)) {}
 
   T read(const AccessSite *Site = nullptr) const {
-    rt::Runtime::get().checkRwLockHeldForRead(Lock, &Value, Site);
+    rt::Runtime::get().checkLockHeld(Lock, &Value, Site, rt::LockMode::Shared);
     return Value;
   }
   void write(T NewValue, const AccessSite *Site = nullptr) {
-    rt::Runtime::get().checkRwLockHeldForWrite(Lock, &Value, Site);
+    rt::Runtime::get().checkLockHeld(Lock, &Value, Site);
     Value = std::move(NewValue);
   }
 

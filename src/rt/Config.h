@@ -65,12 +65,6 @@ struct RuntimeConfig {
   /// tolerance of "bogus" non-pointer values flowing into counted slots.
   size_t RcTableCapacity = 1u << 20;
 
-  /// Abort the process on the first conflict instead of recording it and
-  /// continuing. Tests and benches keep this off. Kept for source
-  /// compatibility: Runtime::init() folds it into Guard.OnViolation
-  /// (AbortOnError == Guard.OnViolation = Policy::Abort).
-  bool AbortOnError = false;
-
   /// Failure semantics: violation policy, per-kind report cap, and the
   /// stall watchdog (DESIGN.md §12). Runtime::init() additionally honors
   /// SHARC_POLICY from the environment, which overrides OnViolation.

@@ -9,7 +9,6 @@
 #include "obs/Sink.h"
 #include "support/Args.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -35,25 +34,39 @@ thread_local ThreadCache TlsCache;
 /// Deferred-free backlog size that forces a collection to release memory.
 constexpr size_t DeferredFreeThreshold = 1u << 14;
 
+/// Runs \p Op. On a profiled thread it also counts \p Op against
+/// (\p Site, \p Kind) and times it when it falls in the sample.
+template <typename OpT>
+decltype(auto) timed(ThreadState &T, const AccessSite *Site,
+                     sharc::obs::CheckKind Kind, uint64_t Bytes, OpT Op) {
+  if (!T.Prof) [[likely]]
+    return Op();
+  struct Commit {
+    ThreadProfile &P;
+    const AccessSite *Site;
+    sharc::obs::CheckKind Kind;
+    uint64_t Bytes, Begin;
+    ~Commit() { P.commit(Site, Kind, Bytes, Begin); }
+  } C{*T.Prof, Site, Kind, Bytes, T.Prof->begin()};
+  return Op();
+}
+
 } // namespace
 
 // Private constructor/destructor need access to members; defined here.
 Runtime::Runtime(const RuntimeConfig &Config)
     : Config(Config), Sink(Config.MaxReports), Registry(Config.maxThreads()),
       Generation(NextGeneration++) {
-  // Failure-semantics resolution (DESIGN.md §12): the legacy AbortOnError
-  // flag folds into the guard policy, then SHARC_POLICY overrides both so
-  // deployed binaries can switch policies without a rebuild. The global
-  // policy (config-less paths like RcTable exhaustion) follows suit, and
-  // SHARC_FAULT is parsed once so fault injection reaches every subsystem.
-  if (this->Config.AbortOnError)
-    this->Config.Guard.OnViolation = guard::Policy::Abort;
+  // Failure-semantics resolution (DESIGN.md §12): SHARC_POLICY overrides
+  // the configured policy so deployed binaries can switch policies
+  // without a rebuild. The global policy (config-less paths like RcTable
+  // exhaustion) follows suit, and SHARC_FAULT is parsed once so fault
+  // injection reaches every subsystem.
   guard::policyFromEnv(this->Config.Guard.OnViolation);
-  this->Config.AbortOnError =
-      this->Config.Guard.OnViolation == guard::Policy::Abort;
   guard::setGlobalPolicy(this->Config.Guard.OnViolation);
   if (const char *Env = std::getenv("SHARC_WATCHDOG_MS"))
     parseU64(Env, this->Config.Guard.WatchdogMillis);
+  LockPathArmed = this->Config.Guard.WatchdogMillis != 0 || profilingEnabled();
   guard::initFaultsFromEnv();
   Sink.setMaxPerKind(this->Config.Guard.MaxReportsPerKind);
   Shadow = std::make_unique<ShadowMemory>(this->Config, Stats, Sink);
@@ -122,47 +135,31 @@ Runtime::~Runtime() {
     });
 }
 
-bool Runtime::observedCheckRead(ThreadState &T, const void *Addr, size_t Size,
-                                const AccessSite *Site) {
-  if (T.Prof) [[unlikely]] {
-    uint64_t T0 = T.Prof->begin();
-    bool Ok = Shadow->checkRead(Addr, Size, T, Site);
-    T.Prof->commit(Site, obs::CheckKind::DynamicRead, Size ? Size : 1, T0);
-    publishAccess(obs::EventKind::Read, Addr, Size, T.Tid);
-    return Ok;
-  }
-  bool Ok = Shadow->checkRead(Addr, Size, T, Site);
-  publishAccess(obs::EventKind::Read, Addr, Size, T.Tid);
-  return Ok;
-}
-
-bool Runtime::observedCheckWrite(ThreadState &T, const void *Addr, size_t Size,
-                                 const AccessSite *Site) {
-  if (T.Prof) [[unlikely]] {
-    uint64_t T0 = T.Prof->begin();
-    bool Ok = Shadow->checkWrite(Addr, Size, T, Site);
-    T.Prof->commit(Site, obs::CheckKind::DynamicWrite, Size ? Size : 1, T0);
-    publishAccess(obs::EventKind::Write, Addr, Size, T.Tid);
-    return Ok;
-  }
-  bool Ok = Shadow->checkWrite(Addr, Size, T, Site);
-  publishAccess(obs::EventKind::Write, Addr, Size, T.Tid);
+bool Runtime::observedCheck(ThreadState &T, const void *Addr, size_t Size,
+                            const AccessSite *Site, bool IsWrite) {
+  bool Ok = timed(T, Site,
+                  IsWrite ? obs::CheckKind::DynamicWrite
+                          : obs::CheckKind::DynamicRead,
+                  Size ? Size : 1, [&] {
+                    return IsWrite ? Shadow->checkWrite(Addr, Size, T, Site)
+                                   : Shadow->checkRead(Addr, Size, T, Site);
+                  });
+  publishAccess(IsWrite ? obs::EventKind::Write : obs::EventKind::Read, Addr,
+                Size, T.Tid);
   return Ok;
 }
 
 void Runtime::rcStoreProfiled(void **Slot, void *Value, const AccessSite *Site,
                               ThreadState &T) {
-  // RcMode::None never bumps Stats.RcBarriers, so profiling nothing here
-  // keeps profile totals exactly equal to the final StatsSnapshot.
-  if (Config.Rc == RcMode::None) {
+  auto Store = [&] {
     Rc->storePtr(reinterpret_cast<uintptr_t *>(Slot),
                  reinterpret_cast<uintptr_t>(Value), T);
-    return;
-  }
-  uint64_t T0 = T.Prof->begin();
-  Rc->storePtr(reinterpret_cast<uintptr_t *>(Slot),
-               reinterpret_cast<uintptr_t>(Value), T);
-  T.Prof->commit(Site, obs::CheckKind::RcBarrier, sizeof(void *), T0);
+  };
+  // RcMode::None never bumps Stats.RcBarriers, so profiling nothing here
+  // keeps profile totals exactly equal to the final StatsSnapshot.
+  if (Config.Rc == RcMode::None)
+    return Store();
+  timed(T, Site, obs::CheckKind::RcBarrier, sizeof(void *), Store);
 }
 
 void Runtime::init(const RuntimeConfig &Config) {
@@ -210,17 +207,37 @@ void Runtime::deregisterCurrentThread() {
   // Clear this thread's reader/writer bits so a non-overlapping successor
   // reusing the id starts clean.
   Shadow->clearThreadBits(*State);
-  State->HeldLocks.clear();
-  State->HeldSharedLocks.clear();
+  State->Locks.clear();
   Registry.deregisterThread(State);
   TlsCache.State = nullptr;
   TlsCache.Generation = 0;
 }
 
-void Runtime::onLockAcquire(const void *Lock) {
-  currentThread().HeldLocks.push_back(Lock);
+void Runtime::onLockAcquire(const void *Lock, LockMode Mode,
+                            const AccessSite *Site, uint64_t WaitCycles,
+                            bool Contended) {
+  ThreadState &TS = currentThread();
+  TS.Locks.acquire(Lock, Mode);
+  if (LockPathArmed) [[unlikely]] {
+    if (TS.Prof) {
+      TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
+      LiveLockAcquires.fetch_add(1, std::memory_order_relaxed);
+      if (Contended)
+        LiveLockContended.fetch_add(1, std::memory_order_relaxed);
+      LiveLockWaitUnits.fetch_add(WaitCycles, std::memory_order_relaxed);
+    }
+    // The watchdog names the latest acquirer as the holder, so a stall
+    // behind a shared hold names a reader.
+    if (Config.Guard.WatchdogMillis != 0) {
+      std::lock_guard<std::mutex> G(GuardMutex);
+      LockHolders[reinterpret_cast<uintptr_t>(Lock)] =
+          LockHolderInfo{TS.Tid, Site};
+    }
+  }
   if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::LockAcquire, Lock, 0);
+    publishEvent(Mode == LockMode::Shared ? obs::EventKind::SharedLockAcquire
+                                          : obs::EventKind::LockAcquire,
+                 Lock, 0);
 }
 
 void Runtime::onLockWait(const void *Lock, const AccessSite *Site) {
@@ -234,52 +251,59 @@ void Runtime::onLockWait(const void *Lock, const AccessSite *Site) {
   }
 }
 
-void Runtime::onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
-                                    uint64_t WaitCycles, bool Contended) {
+void Runtime::onLockRelease(const void *Lock, LockMode Mode) {
   ThreadState &TS = currentThread();
-  TS.HeldLocks.push_back(Lock);
-  if (TS.Prof) {
-    TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
-    LiveLockAcquires.fetch_add(1, std::memory_order_relaxed);
-    if (Contended)
-      LiveLockContended.fetch_add(1, std::memory_order_relaxed);
-    LiveLockWaitUnits.fetch_add(WaitCycles, std::memory_order_relaxed);
+  if (LockPathArmed) [[unlikely]] {
+    if (TS.Prof)
+      LiveLockHoldUnits.fetch_add(TS.Prof->lockReleased(Lock),
+                                  std::memory_order_relaxed);
+    // Only the noted holder clears the note: another reader's release
+    // leaves the latest reader named.
+    if (Config.Guard.WatchdogMillis != 0) {
+      std::lock_guard<std::mutex> G(GuardMutex);
+      auto It = LockHolders.find(reinterpret_cast<uintptr_t>(Lock));
+      if (It != LockHolders.end() && It->second.Tid == TS.Tid)
+        LockHolders.erase(It);
+    }
   }
+  [[maybe_unused]] bool Held = TS.Locks.release(Lock, Mode);
+  assert(Held && "releasing a lock that is not held");
   if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::LockAcquire, Lock, 0);
+    publishEvent(Mode == LockMode::Shared ? obs::EventKind::SharedLockRelease
+                                          : obs::EventKind::LockRelease,
+                 Lock, 0);
 }
 
-void Runtime::onLockRelease(const void *Lock) {
-  ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]]
-    LiveLockHoldUnits.fetch_add(TS.Prof->lockReleased(Lock),
-                                std::memory_order_relaxed);
-  if (Config.Guard.WatchdogMillis != 0) [[unlikely]] {
-    std::lock_guard<std::mutex> G(GuardMutex);
-    LockHolders.erase(reinterpret_cast<uintptr_t>(Lock));
-  }
-  auto It = std::find(TS.HeldLocks.rbegin(), TS.HeldLocks.rend(), Lock);
-  assert(It != TS.HeldLocks.rend() && "releasing a lock that is not held");
-  TS.HeldLocks.erase(std::next(It).base());
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::LockRelease, Lock, 0);
+bool Runtime::holdsLock(const void *Lock, LockMode Need) {
+  return currentThread().Locks.holds(Lock, Need);
 }
 
-bool Runtime::holdsLock(const void *Lock) {
+bool Runtime::checkLockHeld(const void *Lock, const void *Addr,
+                            const AccessSite *Site, LockMode Need) {
   ThreadState &TS = currentThread();
-  return std::find(TS.HeldLocks.begin(), TS.HeldLocks.end(), Lock) !=
-         TS.HeldLocks.end();
+  return timed(TS, Site, obs::CheckKind::LockCheck, 0, [&] {
+    Stats.LockChecks.fetch_add(1, std::memory_order_relaxed);
+    if (TS.Locks.holds(Lock, Need))
+      return true;
+    if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
+        isAddrQuarantined(Addr))
+      return true;
+    Stats.LockViolations.fetch_add(1, std::memory_order_relaxed);
+    ConflictReport Report;
+    Report.Kind = ReportKind::LockViolation;
+    Report.Address = reinterpret_cast<uintptr_t>(Addr);
+    Report.WhoTid = TS.Tid;
+    Report.WhoSite = Site;
+    if (guard::onViolation(Config.Guard, Report, Sink) ==
+        guard::Verdict::Quarantine)
+      quarantineAddr(Addr);
+    return false;
+  });
 }
 
 //===----------------------------------------------------------------------===//
 // Stall watchdog and quarantine (sharc-guard, DESIGN.md §12)
 //===----------------------------------------------------------------------===//
-
-void Runtime::noteLockHolder(const void *Lock, const AccessSite *Site) {
-  unsigned Tid = currentThread().Tid;
-  std::lock_guard<std::mutex> G(GuardMutex);
-  LockHolders[reinterpret_cast<uintptr_t>(Lock)] = LockHolderInfo{Tid, Site};
-}
 
 void Runtime::reportLockStall(const void *Lock, const AccessSite *Site) {
   LockHolderInfo Holder;
@@ -289,17 +313,6 @@ void Runtime::reportLockStall(const void *Lock, const AccessSite *Site) {
     if (It != LockHolders.end())
       Holder = It->second;
   }
-  if (Holder.Tid == 0) {
-    // The holder acquired before the watchdog was armed (or through an
-    // unguarded path): attribute via the per-thread lock logs.
-    Registry.forEachState([&](ThreadState &S) {
-      if (std::find(S.HeldLocks.begin(), S.HeldLocks.end(), Lock) !=
-          S.HeldLocks.end())
-        Holder.Tid = S.Tid;
-    });
-  }
-  // The wait slice feeds the PR 3 contention tables.
-  onLockWait(Lock, Site);
   ConflictReport Report;
   Report.Kind = ReportKind::StallTimeout;
   Report.Address = reinterpret_cast<uintptr_t>(Lock);
@@ -333,129 +346,12 @@ void Runtime::quarantineAddr(const void *Addr) {
   QuarantinedAddrs.insert(reinterpret_cast<uintptr_t>(Addr));
 }
 
-bool Runtime::checkLockHeld(const void *Lock, const void *Addr,
-                            const AccessSite *Site) {
-  ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]] {
-    uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkLockHeldImpl(Lock, Addr, Site);
-    TS.Prof->commit(Site, obs::CheckKind::LockCheck, 0, T0);
-    return Ok;
-  }
-  return checkLockHeldImpl(Lock, Addr, Site);
-}
-
-bool Runtime::checkLockHeldImpl(const void *Lock, const void *Addr,
-                                const AccessSite *Site) {
-  Stats.LockChecks.fetch_add(1, std::memory_order_relaxed);
-  if (holdsLock(Lock))
-    return true;
-  if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
-      isAddrQuarantined(Addr))
-    return true;
-  Stats.LockViolations.fetch_add(1, std::memory_order_relaxed);
-  ConflictReport Report;
-  Report.Kind = ReportKind::LockViolation;
-  Report.Address = reinterpret_cast<uintptr_t>(Addr);
-  Report.WhoTid = currentThread().Tid;
-  Report.WhoSite = Site;
-  if (guard::onViolation(Config.Guard, Report, Sink) ==
-      guard::Verdict::Quarantine)
-    quarantineAddr(Addr);
-  return false;
-}
-
-void Runtime::onSharedLockAcquire(const void *Lock) {
-  currentThread().HeldSharedLocks.push_back(Lock);
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::SharedLockAcquire, Lock, 0);
-}
-
-void Runtime::onSharedLockAcquireProfiled(const void *Lock,
-                                          const AccessSite *Site,
-                                          uint64_t WaitCycles,
-                                          bool Contended) {
-  ThreadState &TS = currentThread();
-  TS.HeldSharedLocks.push_back(Lock);
-  if (TS.Prof) {
-    TS.Prof->lockAcquired(Lock, Site, WaitCycles, Contended);
-    LiveLockAcquires.fetch_add(1, std::memory_order_relaxed);
-    if (Contended)
-      LiveLockContended.fetch_add(1, std::memory_order_relaxed);
-    LiveLockWaitUnits.fetch_add(WaitCycles, std::memory_order_relaxed);
-  }
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::SharedLockAcquire, Lock, 0);
-}
-
-void Runtime::onSharedLockRelease(const void *Lock) {
-  ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]]
-    LiveLockHoldUnits.fetch_add(TS.Prof->lockReleased(Lock),
-                                std::memory_order_relaxed);
-  auto It = std::find(TS.HeldSharedLocks.rbegin(), TS.HeldSharedLocks.rend(),
-                      Lock);
-  assert(It != TS.HeldSharedLocks.rend() &&
-         "releasing a shared lock that is not held");
-  TS.HeldSharedLocks.erase(std::next(It).base());
-  if (Config.Obs) [[unlikely]]
-    publishEvent(obs::EventKind::SharedLockRelease, Lock, 0);
-}
-
-bool Runtime::holdsLockShared(const void *Lock) {
-  ThreadState &TS = currentThread();
-  return std::find(TS.HeldSharedLocks.begin(), TS.HeldSharedLocks.end(),
-                   Lock) != TS.HeldSharedLocks.end();
-}
-
-bool Runtime::checkRwLockHeldForRead(const void *Lock, const void *Addr,
-                                     const AccessSite *Site) {
-  ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]] {
-    uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkRwLockHeldForReadImpl(Lock, Addr, Site);
-    TS.Prof->commit(Site, obs::CheckKind::LockCheck, 0, T0);
-    return Ok;
-  }
-  return checkRwLockHeldForReadImpl(Lock, Addr, Site);
-}
-
-bool Runtime::checkRwLockHeldForReadImpl(const void *Lock, const void *Addr,
-                                         const AccessSite *Site) {
-  Stats.LockChecks.fetch_add(1, std::memory_order_relaxed);
-  if (holdsLock(Lock) || holdsLockShared(Lock))
-    return true;
-  if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
-      isAddrQuarantined(Addr))
-    return true;
-  Stats.LockViolations.fetch_add(1, std::memory_order_relaxed);
-  ConflictReport Report;
-  Report.Kind = ReportKind::LockViolation;
-  Report.Address = reinterpret_cast<uintptr_t>(Addr);
-  Report.WhoTid = currentThread().Tid;
-  Report.WhoSite = Site;
-  if (guard::onViolation(Config.Guard, Report, Sink) ==
-      guard::Verdict::Quarantine)
-    quarantineAddr(Addr);
-  return false;
-}
-
-bool Runtime::checkRwLockHeldForWrite(const void *Lock, const void *Addr,
-                                      const AccessSite *Site) {
-  // A shared hold does not license writes.
-  return checkLockHeld(Lock, Addr, Site);
-}
-
 void *Runtime::scast(void **Slot, size_t ObjSize, const AccessSite *Site) {
-  ThreadState &TS = currentThread();
   void *Obj = rcLoad(Slot);
   // Null-out the source so no access path with the old sharing mode
   // remains (Figure 7, line 2). The store goes through the RC barrier,
   // so profiled runs attribute it like any other counted store.
-  if (TS.Prof) [[unlikely]]
-    rcStoreProfiled(Slot, nullptr, Site, TS);
-  else
-    Rc->storePtr(reinterpret_cast<uintptr_t *>(Slot), 0, TS);
+  rcStore(Slot, nullptr, Site);
   if (!Obj)
     return nullptr;
   checkCast(Obj, ObjSize, Site);
@@ -464,20 +360,15 @@ void *Runtime::scast(void **Slot, size_t ObjSize, const AccessSite *Site) {
 
 bool Runtime::checkCast(void *Obj, size_t ObjSize, const AccessSite *Site) {
   ThreadState &TS = currentThread();
-  if (TS.Prof) [[unlikely]] {
-    uint64_t T0 = TS.Prof->begin();
-    bool Ok = checkCastImpl(Obj, ObjSize, Site);
-    TS.Prof->commit(Site, obs::CheckKind::SharingCast, 0, T0);
-    return Ok;
-  }
-  return checkCastImpl(Obj, ObjSize, Site);
+  return timed(TS, Site, obs::CheckKind::SharingCast, 0,
+               [&] { return checkCastImpl(TS, Obj, ObjSize, Site); });
 }
 
-bool Runtime::checkCastImpl(void *Obj, size_t ObjSize, const AccessSite *Site) {
+bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
+                            const AccessSite *Site) {
   Stats.SharingCasts.fetch_add(1, std::memory_order_relaxed);
   if (!Obj)
     return true;
-  ThreadState &TS = currentThread();
   // After the source has been nulled and accounted, any remaining counted
   // reference means the object is reachable under its old mode: reject.
   int64_t Count = Rc->getRefCount(reinterpret_cast<uintptr_t>(Obj), TS);
@@ -497,33 +388,28 @@ bool Runtime::checkCastImpl(void *Obj, size_t ObjSize, const AccessSite *Site) {
   }
   if (Config.Obs) [[unlikely]]
     publishEvent(obs::EventKind::SharingCast, Obj, Count);
-  if (Count > 0 && Config.Rc != RcMode::None) {
+  bool Ok = Count <= 0 || Config.Rc == RcMode::None;
+  if (!Ok) {
     Stats.CastErrors.fetch_add(1, std::memory_order_relaxed);
     ConflictReport Report;
     Report.Kind = ReportKind::CastError;
     Report.Address = reinterpret_cast<uintptr_t>(Obj);
     Report.WhoTid = TS.Tid;
     Report.WhoSite = Site;
-    if (guard::onViolation(Config.Guard, Report, Sink) ==
-        guard::Verdict::Quarantine) {
-      // Demote: treat the object as racy-equivalent by forgetting its
-      // access history, exactly as a successful cast would.
-      size_t Size = ObjSize;
-      if (Size == 0 && TheHeap->isSharcObject(Obj))
-        Size = TheHeap->allocationSize(Obj);
-      if (Size != 0)
-        Shadow->clearRange(Obj, Size);
-    }
-    return false;
+    // Quarantine demotes the object to racy-equivalent by forgetting its
+    // access history, exactly as a successful cast does.
+    if (guard::onViolation(Config.Guard, Report, Sink) !=
+        guard::Verdict::Quarantine)
+      return false;
   }
-  // The cast succeeded: clear the object's reader/writer history ("past
-  // accesses by other threads no longer constitute unintended sharing").
+  // Clear the object's reader/writer history ("past accesses by other
+  // threads no longer constitute unintended sharing").
   size_t Size = ObjSize;
   if (Size == 0 && TheHeap->isSharcObject(Obj))
     Size = TheHeap->allocationSize(Obj);
   if (Size != 0)
     Shadow->clearRange(Obj, Size);
-  return true;
+  return Ok;
 }
 
 void *Runtime::allocate(size_t Size) { return TheHeap->allocate(Size); }

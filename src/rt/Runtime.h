@@ -31,6 +31,7 @@
 #include "rt/Config.h"
 #include "rt/Guard.h"
 #include "rt/Heap.h"
+#include "rt/LockLog.h"
 #include "rt/RefCount.h"
 #include "rt/Report.h"
 #include "rt/ShadowMemory.h"
@@ -86,92 +87,73 @@ public:
   bool checkRead(const void *Addr, size_t Size, const AccessSite *Site) {
     ThreadState &T = currentThread();
     if (Config.Obs) [[unlikely]]
-      return observedCheckRead(T, Addr, Size, Site);
+      return observedCheck(T, Addr, Size, Site, /*IsWrite=*/false);
     return Shadow->checkRead(Addr, Size, T, Site);
   }
   bool checkWrite(const void *Addr, size_t Size, const AccessSite *Site) {
     ThreadState &T = currentThread();
     if (Config.Obs) [[unlikely]]
-      return observedCheckWrite(T, Addr, Size, Site);
+      return observedCheck(T, Addr, Size, Site, /*IsWrite=*/true);
     return Shadow->checkWrite(Addr, Size, T, Site);
   }
 
   //===--------------------------------------------------------------------===
-  // Locked-mode checks
+  // Locked-mode checks (Section 4.2.2) and the rwlocked extension of
+  // Section 7: the rule itself lives in rt/LockLog.h.
   //===--------------------------------------------------------------------===
 
-  /// Records that the current thread acquired the lock at \p Lock.
-  void onLockAcquire(const void *Lock);
+  /// Records that the current thread obtained \p Lock in \p Mode. \p Site
+  /// names the acquirer in lock profiles and stall reports; \p WaitCycles
+  /// of TSC time passed before the lock was obtained.
+  void onLockAcquire(const void *Lock, LockMode Mode = LockMode::Exclusive,
+                     const AccessSite *Site = nullptr, uint64_t WaitCycles = 0,
+                     bool Contended = false);
 
-  /// Records that the current thread released the lock at \p Lock.
-  void onLockRelease(const void *Lock);
+  /// Records that the current thread released its \p Mode hold of \p Lock.
+  void onLockRelease(const void *Lock, LockMode Mode = LockMode::Exclusive);
 
-  /// True when per-site cost profiling is on (sharc::Mutex switches to
-  /// its timed acquire path). Profiling requires an obs sink to drain
-  /// into; without one the flag is ignored.
+  /// \returns true if the current thread holds \p Lock in a mode that
+  /// satisfies \p Need.
+  bool holdsLock(const void *Lock, LockMode Need = LockMode::Exclusive);
+
+  /// Checks that \p Lock is held as \p Need requires for an access to
+  /// \p Addr, filing a LockViolation report if not. A locked(L) access
+  /// and an rwlocked(L) write need Exclusive, an rwlocked(L) read Shared.
+  bool checkLockHeld(const void *Lock, const void *Addr,
+                     const AccessSite *Site,
+                     LockMode Need = LockMode::Exclusive);
+
+  /// True when acquires must take the timed path (sharc::Mutex and
+  /// sharc::SharedMutex): the stall watchdog or the lock profile is on.
+  /// Derived once at init, so the unarmed acquire tests one flag.
+  bool lockPathArmed() const { return LockPathArmed; }
+
+  /// True when per-site cost profiling is on. Profiling requires an obs
+  /// sink to drain into; without one the flag is ignored.
   bool profilingEnabled() const { return Config.Profile && Config.Obs; }
 
-  /// Profiling-only: announces that the current thread is about to
-  /// block on \p Lock (publishes a LockWait event for wait slices in
-  /// the Chrome export; Extra carries the acquirer's line).
+  /// Announces that the current thread is about to block on \p Lock
+  /// (publishes a LockWait event for wait slices in the Chrome export;
+  /// Extra carries the acquirer's line).
   void onLockWait(const void *Lock, const AccessSite *Site = nullptr);
-
-  /// onLockAcquire plus contention accounting: \p WaitCycles of TSC
-  /// time was spent before the lock was obtained, \p Site names the
-  /// acquirer (null falls back to the lock's declaration site, if the
-  /// caller tracked one).
-  void onLockAcquireProfiled(const void *Lock, const AccessSite *Site,
-                             uint64_t WaitCycles, bool Contended);
-  void onSharedLockAcquireProfiled(const void *Lock, const AccessSite *Site,
-                                   uint64_t WaitCycles, bool Contended);
-
-  /// \returns true if the current thread holds \p Lock.
-  bool holdsLock(const void *Lock);
 
   //===--------------------------------------------------------------------===
   // Stall watchdog (sharc-guard, DESIGN.md §12)
   //===--------------------------------------------------------------------===
 
-  /// Non-zero when timed lock acquisition / cast-drain waits are armed;
-  /// sharc::Mutex switches to its guarded acquire path.
+  /// Non-zero when timed lock acquisition / cast-drain waits are armed.
   uint64_t watchdogMillis() const { return Config.Guard.WatchdogMillis; }
 
-  /// Records the current thread as the holder of \p Lock with its
-  /// acquisition site, so a later stall report can name it. Called only
-  /// from the watchdog-armed acquire path (cold).
-  void noteLockHolder(const void *Lock, const AccessSite *Site);
-
   /// Files a StallTimeout report for a lock wait that exceeded the
-  /// watchdog budget: who = the waiter at \p Site, last = the recorded
-  /// holder and its acquisition site. Applies the violation policy
-  /// (under Policy::Abort this does not return).
+  /// watchdog budget: who = the waiter at \p Site, last = the thread
+  /// that last acquired \p Lock and still holds it, with its acquisition
+  /// site. Applies the violation policy (under Policy::Abort this does
+  /// not return).
   void reportLockStall(const void *Lock, const AccessSite *Site);
 
   /// Same, for a sharing-cast refcount drain that never reached zero.
   void reportCastStall(const void *Obj, const AccessSite *Site,
                        int64_t RemainingCount);
-
-  /// Checks that \p Lock is held for an access to \p Addr, filing a
-  /// LockViolation report if not.
-  bool checkLockHeld(const void *Lock, const void *Addr,
-                     const AccessSite *Site);
-
-  //===--------------------------------------------------------------------===
-  // Reader-writer locked mode (the Section 7 "more support for locks"
-  // extension): rwlocked(L) cells are readable under a shared or
-  // exclusive hold of L and writable only under an exclusive hold.
-  //===--------------------------------------------------------------------===
-
-  void onSharedLockAcquire(const void *Lock);
-  void onSharedLockRelease(const void *Lock);
-  bool holdsLockShared(const void *Lock);
-
-  /// Read intent on an rwlocked cell: shared or exclusive hold suffices.
-  bool checkRwLockHeldForRead(const void *Lock, const void *Addr,
-                              const AccessSite *Site);
-  /// Write intent on an rwlocked cell: an exclusive hold is required.
-  bool checkRwLockHeldForWrite(const void *Lock, const void *Addr,
-                               const AccessSite *Site);
 
   //===--------------------------------------------------------------------===
   // Reference counting and sharing casts
@@ -265,19 +247,14 @@ private:
   /// Same, for lock transitions and sharing casts.
   void publishEvent(obs::EventKind K, const void *Addr, int64_t Value);
 
-  /// Cold observed paths: profiling (when ThreadState::Prof is live)
+  /// Cold observed path: profiling (when ThreadState::Prof is live)
   /// plus event publication, in program order.
-  bool observedCheckRead(ThreadState &T, const void *Addr, size_t Size,
-                         const AccessSite *Site);
-  bool observedCheckWrite(ThreadState &T, const void *Addr, size_t Size,
-                          const AccessSite *Site);
+  bool observedCheck(ThreadState &T, const void *Addr, size_t Size,
+                     const AccessSite *Site, bool IsWrite);
   void rcStoreProfiled(void **Slot, void *Value, const AccessSite *Site,
                        ThreadState &T);
-  bool checkLockHeldImpl(const void *Lock, const void *Addr,
-                         const AccessSite *Site);
-  bool checkRwLockHeldForReadImpl(const void *Lock, const void *Addr,
-                                  const AccessSite *Site);
-  bool checkCastImpl(void *Obj, size_t ObjSize, const AccessSite *Site);
+  bool checkCastImpl(ThreadState &T, void *Obj, size_t ObjSize,
+                     const AccessSite *Site);
 
   /// Quarantine bookkeeping for lock-check violations (shadow-granule
   /// quarantine lives in ShadowMemory). Both are consulted only under
@@ -297,8 +274,11 @@ private:
   std::unique_ptr<ShadowMemory> Shadow;
   std::unique_ptr<RefCountEngine> Rc;
   std::unique_ptr<Heap> TheHeap;
+  /// Config.Guard.WatchdogMillis != 0 || profilingEnabled().
+  bool LockPathArmed = false;
   /// Guard-layer cold state: quarantined lock-check addresses and, when
-  /// the watchdog is armed, who holds which lock (for stall reports).
+  /// the watchdog is armed, which thread last acquired each held lock
+  /// and where (for stall reports).
   std::mutex GuardMutex;
   std::unordered_set<uintptr_t> QuarantinedAddrs;
   struct LockHolderInfo {

@@ -16,6 +16,7 @@
 #ifndef SHARC_RT_THREADREGISTRY_H
 #define SHARC_RT_THREADREGISTRY_H
 
+#include "rt/LockLog.h"
 #include "rt/Profile.h"
 #include "rt/RcLog.h"
 
@@ -48,13 +49,9 @@ struct ThreadState {
   /// the collector spins until no thread is mid-barrier in the old epoch.
   std::atomic<uint32_t> InBarrier{0};
 
-  /// Addresses of locks this thread currently holds (Section 4.2.2). Lock
-  /// nesting depth is small, so membership is a linear scan.
-  std::vector<const void *> HeldLocks;
-
-  /// Locks held in shared (reader) mode — the rwlocked extension of the
-  /// paper's Section 7 ("more support for locks").
-  std::vector<const void *> HeldSharedLocks;
+  /// Locks this thread currently holds, exclusive or shared (Section
+  /// 4.2.2 and the Section 7 rwlocked extension).
+  LockLog<const void *> Locks;
 
   /// True once the thread has deregistered; retired states are kept until
   /// their RC logs have been collected.
@@ -68,8 +65,7 @@ struct ThreadState {
   size_t memoryFootprint() const {
     return AccessLog.capacity() * sizeof(uintptr_t) +
            RcLogs[0].memoryFootprint() + RcLogs[1].memoryFootprint() +
-           HeldLocks.capacity() * sizeof(void *) +
-           (Prof ? Prof->tableBytes() : 0);
+           Locks.bytes() + (Prof ? Prof->tableBytes() : 0);
   }
 };
 

@@ -299,6 +299,50 @@ TEST(GuardRuntimeTest, WatchdogReportsLockStall) {
   EXPECT_TRUE(SawStall);
 }
 
+TEST(GuardRuntimeTest, StallBehindSharedHoldNamesTheReader) {
+  RuntimeConfig Config;
+  Config.Guard.WatchdogMillis = 20;
+  RuntimeGuard G(Config);
+  Runtime &RT = Runtime::get();
+  SharedMutex M;
+  M.lock_shared(); // an earlier reader, gone before the writer comes
+  std::atomic<int> Stage{0};
+  unsigned ReaderTid = 0;
+  Thread Reader([&] {
+    ReaderTid = RT.currentThread().Tid;
+    M.lock_shared();
+    Stage = 1;
+    while (Stage != 2)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    M.unlock_shared();
+  });
+  while (Stage != 1)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Another reader's release must not clear the note naming this one.
+  M.unlock_shared();
+  unsigned WriterTid = 0;
+  Thread Writer([&] {
+    WriterTid = RT.currentThread().Tid;
+    M.lock(); // stalls past the watchdog behind the reader
+    M.unlock();
+  });
+  // Hold the read lock until the stall has been filed, however slowly
+  // the writer gets scheduled.
+  while (RT.getReports().getTotalOfKind(ReportKind::StallTimeout) == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Stage = 2;
+  Writer.join();
+  Reader.join();
+
+  auto Reports = RT.getReports().getReports();
+  ASSERT_EQ(Reports.size(), 1u);
+  EXPECT_EQ(Reports[0].Kind, ReportKind::StallTimeout);
+  EXPECT_EQ(Reports[0].Address, reinterpret_cast<uintptr_t>(&M));
+  EXPECT_EQ(Reports[0].WhoTid, WriterTid);
+  EXPECT_EQ(Reports[0].LastTid, ReaderTid)
+      << "a stall behind a shared hold must name the reader";
+}
+
 TEST(GuardRuntimeTest, LockTimeoutFaultForcesStallReport) {
   RuntimeConfig Config;
   Config.Guard.WatchdogMillis = 10000; // would never fire on its own

@@ -415,9 +415,10 @@ TEST(ShadowPropertyTest, SharedGranuleWriterAlwaysCaught) {
 
 TEST(AbortModeTest, ConfigurableButOffByDefault) {
   RuntimeGuard Guard;
-  EXPECT_FALSE(Runtime::get().getConfig().AbortOnError);
-  // (Aborting behaviour itself is exercised manually; flipping it on in a
-  // unit test would kill the test binary by design.)
+  EXPECT_EQ(Runtime::get().getConfig().Guard.OnViolation,
+            guard::Policy::Continue);
+  // (Aborting behaviour itself is covered by GuardDeathTest; flipping it
+  // on here would kill the test binary by design.)
 }
 
 TEST(TidReuseTest, ReusedIdStartsWithCleanBitsAndLogs) {

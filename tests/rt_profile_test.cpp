@@ -74,12 +74,13 @@ protected:
   /// Runtime with full profiling into Downstream via a Collector.
   /// SampleShift 0 times every operation, so Cycles/Samples are
   /// deterministic in what they cover (every op) if not in magnitude.
-  void initProfiled(unsigned ShadowBytesPerGranule = 1,
-                    bool Profile = true) {
+  void initProfiled(unsigned ShadowBytesPerGranule = 1, bool Profile = true,
+                    uint64_t WatchdogMillis = 0) {
     Wrapper.emplace(Downstream);
     rt::RuntimeConfig Config;
     Config.Obs = &*Wrapper;
     Config.Profile = Profile;
+    Config.Guard.WatchdogMillis = WatchdogMillis;
     Config.ProfileSampleShift = 0;
     Config.ShadowBytesPerGranule = ShadowBytesPerGranule;
     rt::Runtime::init(Config);
@@ -314,6 +315,33 @@ TEST_F(RtProfileTest, LockContentionIsAttributedToAcquirerSite) {
   // completed hold.
   EXPECT_EQ(WaitHistSum, Acquires);
   EXPECT_EQ(HoldHistSum, Acquires);
+}
+
+TEST_F(RtProfileTest, WatchdogKeepsTheLockProfile) {
+  // Arming the stall watchdog must not take acquires off the profiled
+  // path, in either lock class or mode.
+  initProfiled(/*ShadowBytesPerGranule=*/1, /*Profile=*/true,
+               /*WatchdogMillis=*/1000);
+  rt::Runtime &RT = rt::Runtime::get();
+  Mutex M;
+  SharedMutex S;
+  for (int I = 0; I != 10; ++I) {
+    M.lock(SHARC_SITE("m"));
+    M.unlock();
+  }
+  for (int I = 0; I != 5; ++I) {
+    S.lock_shared(SHARC_SITE("s"));
+    S.unlock_shared();
+  }
+  EXPECT_EQ(RT.liveSnapshot().LockAcquires, 15u);
+  rt::Runtime::shutdown();
+  Wrapper->flush();
+
+  ASSERT_EQ(Downstream.Locks.size(), 2u);
+  uint64_t Acquires = 0;
+  for (const LockProfileRecord &R : Downstream.Locks)
+    Acquires += R.Acquires;
+  EXPECT_EQ(Acquires, 15u);
 }
 
 } // namespace

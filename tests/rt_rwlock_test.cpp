@@ -34,15 +34,19 @@ TEST(RwLockLogTest, SharedAndExclusiveHoldsTrackedSeparately) {
   Runtime &RT = Runtime::get();
   SharedMutex M;
   EXPECT_FALSE(RT.holdsLock(&M));
-  EXPECT_FALSE(RT.holdsLockShared(&M));
+  EXPECT_FALSE(RT.holdsLock(&M, LockMode::Shared));
   M.lock_shared();
+  // A shared hold meets a read need but not a write need...
   EXPECT_FALSE(RT.holdsLock(&M));
-  EXPECT_TRUE(RT.holdsLockShared(&M));
+  EXPECT_TRUE(RT.holdsLock(&M, LockMode::Shared));
   M.unlock_shared();
+  EXPECT_FALSE(RT.holdsLock(&M, LockMode::Shared));
   M.lock();
+  // ...and an exclusive hold meets both.
   EXPECT_TRUE(RT.holdsLock(&M));
-  EXPECT_FALSE(RT.holdsLockShared(&M));
+  EXPECT_TRUE(RT.holdsLock(&M, LockMode::Shared));
   M.unlock();
+  EXPECT_FALSE(RT.holdsLock(&M, LockMode::Shared));
 }
 
 TEST(RwLockedTest, ReadUnderSharedHoldIsClean) {
@@ -155,7 +159,7 @@ TEST(RwLockedTest, SharedHoldsArePerThread) {
   SharedMutex M;
   M.lock_shared();
   bool OtherHolds = true;
-  Thread T([&] { OtherHolds = RT.holdsLockShared(&M); });
+  Thread T([&] { OtherHolds = RT.holdsLock(&M, LockMode::Shared); });
   T.join();
   EXPECT_FALSE(OtherHolds);
   M.unlock_shared();
@@ -167,10 +171,10 @@ TEST(RwLockedTest, NestedSharedHoldsUnwindCorrectly) {
   SharedMutex M1, M2;
   M1.lock_shared();
   M2.lock_shared();
-  EXPECT_TRUE(RT.holdsLockShared(&M1));
-  EXPECT_TRUE(RT.holdsLockShared(&M2));
+  EXPECT_TRUE(RT.holdsLock(&M1, LockMode::Shared));
+  EXPECT_TRUE(RT.holdsLock(&M2, LockMode::Shared));
   M1.unlock_shared();
-  EXPECT_FALSE(RT.holdsLockShared(&M1));
-  EXPECT_TRUE(RT.holdsLockShared(&M2));
+  EXPECT_FALSE(RT.holdsLock(&M1, LockMode::Shared));
+  EXPECT_TRUE(RT.holdsLock(&M2, LockMode::Shared));
   M2.unlock_shared();
 }

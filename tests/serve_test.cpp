@@ -679,15 +679,23 @@ TEST(ServeStormTest, SharcPolicyOverloadIsViolationFree) {
 }
 
 TEST(ServeStormTest, DeadlineDropsStaleQueueResidents) {
-  // A slow backend with a finite deadline: requests pass admission
+  // A stalled backend with a finite deadline: requests pass admission
   // fresh, go stale while queued, and are dropped at dequeue with a
   // counted timeout instead of burning handler CPU. Server-side
   // timeouts are not retried (no rejection is sent), so the identity
   // closes through the TimedOut column.
+  //
+  // The trigger does not depend on host load. Each worker sleeps 200ms
+  // after every request it handles, and the whole schedule arrives
+  // within a few ms, so whatever a worker dequeues after its first
+  // request is more than 20ms past its arrival. A fourth admission is
+  // all the test needs, and admission only requires the acceptor to
+  // see a request within 20ms of its scheduled arrival.
   LoadConfig LC = stormLoad();
   ServeParams SP = stormParams();
-  SP.ServiceNanos = 500000; // 500us/request: the queue goes stale fast
-  SP.DeadlineNanos = 2000000;
+  SP.DeadlineNanos = 20000000;
+  SP.WorkerStallNanos = 200000000;
+  SP.WorkerStallEvery = 1;
   SP.RingCapacity = 4096; // roomy: isolate the deadline path from
                           // ring-full shedding
   StormRun R = runStorm<UncheckedPolicy>(LC, SP);
