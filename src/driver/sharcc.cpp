@@ -60,6 +60,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 using namespace sharc;
 
@@ -393,6 +394,46 @@ std::string renderMetrics(const DriverOptions &Options,
   return Out;
 }
 
+/// The sharc-explore-v1 document (DESIGN.md §14.4): how many schedules
+/// ran, how many the reductions cut, and — loudly, never silently —
+/// whether the enumeration was complete.
+std::string renderExploreMetrics(const interp::ExploreResult &ER) {
+  const interp::ExploreStats &St = ER.Stats;
+  const std::pair<const char *, uint64_t> Counts[] = {
+      {"schedules_run", St.Runs},
+      {"sleep_pruned", St.SleepBlocked},
+      {"bounded_runs", St.BoundedRuns},
+      {"dpor_pruned", St.BranchesPruned},
+      {"preempt_pruned", St.PreemptPruned},
+      {"steps_total", St.StepsTotal},
+      {"max_depth", St.MaxDepth},
+      {"verdict_classes", ER.Verdicts.size()},
+      {"violating_classes", ER.Witnesses.size()}};
+  const std::pair<const char *, bool> Flags[] = {
+      {"bound_hit", St.BoundHit},
+      {"budget_exhausted", St.BudgetExhausted},
+      {"complete", ER.complete()}};
+  obs::JsonWriter W;
+  W.beginObject();
+  W.key("schema");
+  W.value("sharc-explore-v1");
+  W.key("explore");
+  W.beginObject();
+  for (const auto &[Key, Value] : Counts) {
+    W.key(Key);
+    W.value(Value);
+  }
+  for (const auto &[Key, Value] : Flags) {
+    W.key(Key);
+    W.value(Value);
+  }
+  W.endObject();
+  W.endObject();
+  std::string Out = W.take();
+  Out.push_back('\n');
+  return Out;
+}
+
 bool writeTextFile(const std::string &Path, const std::string &Text) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   if (!F)
@@ -458,20 +499,7 @@ int runExplore(const DriverOptions &Options, minic::Program &Prog,
   }
 
   if (!Options.MetricsOut.empty()) {
-    obs::ExploreCounters C;
-    C.SchedulesRun = ER.Stats.Runs;
-    C.SleepPruned = ER.Stats.SleepBlocked;
-    C.BoundedRuns = ER.Stats.BoundedRuns;
-    C.DporPruned = ER.Stats.BranchesPruned;
-    C.PreemptPruned = ER.Stats.PreemptPruned;
-    C.StepsTotal = ER.Stats.StepsTotal;
-    C.MaxDepth = ER.Stats.MaxDepth;
-    C.VerdictClasses = ER.Verdicts.size();
-    C.ViolatingClasses = ER.Witnesses.size();
-    C.BoundHit = ER.Stats.BoundHit;
-    C.BudgetExhausted = ER.Stats.BudgetExhausted;
-    C.Complete = ER.complete();
-    if (!writeTextFile(Options.MetricsOut, obs::exploreToJson(C))) {
+    if (!writeTextFile(Options.MetricsOut, renderExploreMetrics(ER))) {
       std::fprintf(stderr, "sharcc: cannot write '%s'\n",
                    Options.MetricsOut.c_str());
       return 2;

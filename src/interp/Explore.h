@@ -57,8 +57,8 @@ struct ExploreOptions {
   std::string EntryPoint = "main";
 };
 
-/// Counters for src/obs consumption (schedules explored / pruned);
-/// mirrored into obs::ExploreCounters by the driver.
+/// Schedules explored and pruned; `sharcc --explore --metrics-out`
+/// writes them as the sharc-explore-v1 document.
 struct ExploreStats {
   uint64_t Runs = 0;           ///< Complete schedules executed.
   uint64_t SleepBlocked = 0;   ///< Executions cut by sleep sets.

@@ -1237,8 +1237,16 @@ void Machine::returnFromFrame(ThreadCtx &T, int64_t Value, bool IsPtr) {
   Frame Old = std::move(T.Frames.back());
   T.Frames.pop_back();
   // Locals die with the frame (the semantics zeroes a thread's cells at
-  // exit; frames do the same so oneref never counts dead slots).
-  for (auto &[Var, A] : Old.Locals) {
+  // exit; frames do the same so oneref never counts dead slots). They die
+  // in declaration order: Locals is keyed by AST address, and an order
+  // that follows the heap layout would leak into the trace.
+  std::vector<std::pair<const VarDecl *, Addr>> Dying(Old.Locals.begin(),
+                                                       Old.Locals.end());
+  std::sort(Dying.begin(), Dying.end(), [](const auto &L, const auto &R) {
+    return std::tie(L.first->Loc.Line, L.first->Loc.Col, L.second) <
+           std::tie(R.first->Loc.Line, R.first->Loc.Col, R.second);
+  });
+  for (auto &[Var, A] : Dying) {
     auto It = Objects.find(A);
     if (It != Objects.end()) {
       for (Addr C = It->first; C != It->first + It->second.Size; ++C) {

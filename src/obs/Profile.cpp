@@ -337,29 +337,19 @@ std::string renderProfile(const ProfileReport &R, const TraceData &Data,
   // the acceptance contract for the whole attribution pipeline.
   if (!Data.Samples.empty()) {
     const rt::StatsSnapshot &S = Data.Samples.back();
-    struct {
-      const char *Name;
-      uint64_t Prof;
-      uint64_t Stat;
-    } Checks[] = {
-        {"dynamic reads", R.KindCount[unsigned(CheckKind::DynamicRead)],
-         S.DynamicReads},
-        {"dynamic writes", R.KindCount[unsigned(CheckKind::DynamicWrite)],
-         S.DynamicWrites},
-        {"lock checks", R.KindCount[unsigned(CheckKind::LockCheck)],
-         S.LockChecks},
-        {"rc barriers", R.KindCount[unsigned(CheckKind::RcBarrier)],
-         S.RcBarriers},
-        {"sharing casts", R.KindCount[unsigned(CheckKind::SharingCast)],
-         S.SharingCasts},
-    };
     bool AllMatch = true;
-    for (const auto &C : Checks)
-      if (C.Prof != C.Stat) {
-        AllMatch = false;
-        OS << "MISMATCH: profile counts " << C.Prof << " " << C.Name
-           << ", final stats sample says " << C.Stat << "\n";
-      }
+    for (const rt::StatRow &Row : rt::StatTable) {
+      if (!Row.Check)
+        continue;
+      uint64_t Prof = R.KindCount[unsigned(*Row.Check)];
+      if (Prof == S.*Row.Field)
+        continue;
+      AllMatch = false;
+      std::string Name = Row.Key;
+      std::replace(Name.begin(), Name.end(), '_', ' ');
+      OS << "MISMATCH: profile counts " << Prof << " " << Name
+         << ", final stats sample says " << S.*Row.Field << "\n";
+    }
     if (AllMatch)
       OS << "totals: exact match with final stats sample\n";
   }

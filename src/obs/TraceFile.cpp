@@ -57,47 +57,6 @@ bool readString(std::string_view Buf, size_t &Pos, std::string &Out) {
   return true;
 }
 
-namespace {
-
-// StatsSnapshot counters in declaration order; keep in sync with
-// rt/Stats.h.
-constexpr unsigned NumStatsFields = 17;
-
-void statsToFields(const rt::StatsSnapshot &S,
-                   uint64_t (&F)[NumStatsFields]) {
-  uint64_t Tmp[NumStatsFields] = {
-      S.DynamicReads,   S.DynamicWrites, S.DynamicReadBytes,
-      S.DynamicWriteBytes, S.LockChecks, S.RcBarriers,
-      S.Collections,    S.SharingCasts,  S.ReadConflicts,
-      S.WriteConflicts, S.LockViolations, S.CastErrors,
-      S.ShadowBytes,    S.RcTableBytes,  S.LogBytes,
-      S.HeapPayloadBytes, S.PeakHeapPayloadBytes};
-  std::memcpy(F, Tmp, sizeof(Tmp));
-}
-
-void fieldsToStats(const uint64_t (&F)[NumStatsFields],
-                   rt::StatsSnapshot &S) {
-  S.DynamicReads = F[0];
-  S.DynamicWrites = F[1];
-  S.DynamicReadBytes = F[2];
-  S.DynamicWriteBytes = F[3];
-  S.LockChecks = F[4];
-  S.RcBarriers = F[5];
-  S.Collections = F[6];
-  S.SharingCasts = F[7];
-  S.ReadConflicts = F[8];
-  S.WriteConflicts = F[9];
-  S.LockViolations = F[10];
-  S.CastErrors = F[11];
-  S.ShadowBytes = F[12];
-  S.RcTableBytes = F[13];
-  S.LogBytes = F[14];
-  S.HeapPayloadBytes = F[15];
-  S.PeakHeapPayloadBytes = F[16];
-}
-
-} // namespace
-
 TraceWriter::TraceWriter() {
   Buf.append(TraceMagic, sizeof(TraceMagic));
   for (unsigned I = 0; I < 4; ++I)
@@ -127,10 +86,8 @@ void TraceWriter::stats(const rt::StatsSnapshot &S) {
   if (Finished)
     return;
   Buf.push_back(static_cast<char>(StatsRecordTag));
-  uint64_t F[NumStatsFields];
-  statsToFields(S, F);
-  for (uint64_t V : F)
-    appendVarint(Buf, V);
+  for (const rt::StatRow &R : rt::StatTable)
+    appendVarint(Buf, S.*R.Field);
   ++Records;
 }
 
@@ -364,12 +321,10 @@ RecordParse parseOneRecord(std::string_view Buf, size_t &Pos, TraceData &Out,
     return RecordParse::End;
   }
   if (Tag == StatsRecordTag) {
-    uint64_t F[17];
-    for (uint64_t &V : F)
-      if (!C.varint(V))
-        return Cut("truncated trace: cut mid stats record");
     rt::StatsSnapshot S;
-    fieldsToStats(F, S);
+    for (const rt::StatRow &R : rt::StatTable)
+      if (!C.varint(S.*R.Field))
+        return Cut("truncated trace: cut mid stats record");
     Out.Samples.push_back(S);
     Out.SamplePos.push_back(Out.Events.size());
     ++Records;

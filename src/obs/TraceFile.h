@@ -11,7 +11,7 @@
 //     0x01..0x0e  event record: tag = EventKind + 1, then varint Tid,
 //                 varint Addr, zigzag-varint Value, varint Extra
 //     0x40        stats record: the 17 StatsSnapshot counters as varints,
-//                 in declaration order
+//                 in rt::StatTable order
 //     0x41        site-profile record: varint Tid, Kind, Line, string
 //                 File, string LValue, varints Count/Bytes/Cycles/Samples
 //     0x42        lock-profile record: varint Tid, Lock, Line, string

@@ -13,11 +13,13 @@
 #include "rt/Guard.h"
 
 #include "rt/Report.h"
+#include "support/Args.h"
 
 #include <atomic>
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
+#include <ctime>
 
 using namespace sharc;
 using namespace sharc::guard;
@@ -69,19 +71,6 @@ std::atomic<uint64_t> OomCountdown{0};
 std::atomic<bool> ThreadRegArmed{false};
 std::atomic<bool> LockTimeoutArmed{false};
 std::atomic<bool> EnvFaultsParsed{false};
-
-bool parseCount(const std::string &Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  uint64_t Value = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Value = Value * 10 + static_cast<unsigned>(C - '0');
-  }
-  Out = Value;
-  return true;
-}
 } // namespace
 
 bool guard::parseFaults(const char *Spec, FaultConfig &Out,
@@ -128,14 +117,14 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("oom")) {
-      if (!parseCount(A, Out.OomAtAlloc) || Out.OomAtAlloc == 0) {
+      if (!parseU64(A, Out.OomAtAlloc) || Out.OomAtAlloc == 0) {
         Error = "oom:N needs a positive allocation index: '" + Tok + "'";
         return false;
       }
       continue;
     }
     if (const char *A = Arg("torn-write")) {
-      if (!parseCount(A, Out.TornWriteBytes)) {
+      if (!parseU64(A, Out.TornWriteBytes)) {
         Error = "torn-write:K needs a byte count: '" + Tok + "'";
         return false;
       }
@@ -143,21 +132,21 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("crash")) {
-      if (!parseCount(A, Out.CrashAtStep) || Out.CrashAtStep == 0) {
+      if (!parseU64(A, Out.CrashAtStep) || Out.CrashAtStep == 0) {
         Error = "crash:N needs a positive step index: '" + Tok + "'";
         return false;
       }
       continue;
     }
     if (const char *A = Arg("conn-reset")) {
-      if (!parseCount(A, Out.ConnResetEvery) || Out.ConnResetEvery == 0) {
+      if (!parseU64(A, Out.ConnResetEvery) || Out.ConnResetEvery == 0) {
         Error = "conn-reset:N needs a positive submit period: '" + Tok + "'";
         return false;
       }
       continue;
     }
     if (const char *A = Arg("slow-peer")) {
-      if (!parseCount(A, Out.SlowPeerMicros) || Out.SlowPeerMicros == 0 ||
+      if (!parseU64(A, Out.SlowPeerMicros) || Out.SlowPeerMicros == 0 ||
           Out.SlowPeerMicros > 1000000) {
         Error = "slow-peer:U needs a delay in 1..1000000 us: '" + Tok + "'";
         return false;
@@ -165,7 +154,7 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("worker-stall")) {
-      if (!parseCount(A, Out.WorkerStallMillis) ||
+      if (!parseU64(A, Out.WorkerStallMillis) ||
           Out.WorkerStallMillis == 0 || Out.WorkerStallMillis > 10000) {
         Error = "worker-stall:M needs a stall in 1..10000 ms: '" + Tok + "'";
         return false;
@@ -173,7 +162,7 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("worker-crash")) {
-      if (!parseCount(A, Out.WorkerCrashAfter) || Out.WorkerCrashAfter == 0) {
+      if (!parseU64(A, Out.WorkerCrashAfter) || Out.WorkerCrashAfter == 0) {
         Error =
             "worker-crash:K needs a positive request count: '" + Tok + "'";
         return false;
@@ -181,7 +170,7 @@ bool guard::parseFaults(const char *Spec, FaultConfig &Out,
       continue;
     }
     if (const char *A = Arg("logger-wedge")) {
-      if (!parseCount(A, Out.LoggerWedgeMillis) ||
+      if (!parseU64(A, Out.LoggerWedgeMillis) ||
           Out.LoggerWedgeMillis == 0 || Out.LoggerWedgeMillis > 10000) {
         Error = "logger-wedge:M needs a wedge in 1..10000 ms: '" + Tok + "'";
         return false;
@@ -245,7 +234,9 @@ struct HookEntry {
 };
 HookEntry Hooks[MaxCrashHooks];
 std::atomic<int> NumHooks{0};
-std::atomic<bool> HooksRan{false};
+enum : int { HooksIdle, HooksRunning, HooksDone };
+std::atomic<int> HooksState{HooksIdle};
+thread_local bool RunningHooksHere = false;
 std::atomic<bool> HandlersInstalled{false};
 
 // SA_RESETHAND restores the default disposition on entry, so re-raising
@@ -280,14 +271,30 @@ void guard::installCrashHandlers() {
 }
 
 void guard::runCrashHooks(int Signal) {
-  if (HooksRan.exchange(true))
+  int Idle = HooksIdle;
+  if (!HooksState.compare_exchange_strong(Idle, HooksRunning)) {
+    // A hook that faulted re-enters on its own thread: never wait on it.
+    if (RunningHooksHere)
+      return;
+    // Another dying thread is running the hooks, and returning would let
+    // this one end the process mid-write. Wait until they are done, with
+    // an async-signal-safe sleep and for at most ~5 s, in case one wedged.
+    const struct timespec Millisecond = {0, 1000000};
+    for (int Ms = 0; Ms != 5000; ++Ms) {
+      if (HooksState.load(std::memory_order_acquire) == HooksDone)
+        return;
+      nanosleep(&Millisecond, nullptr);
+    }
     return;
+  }
+  RunningHooksHere = true;
   // Newest-first: the most recently registered hook owns the most
   // recently opened trace.
   int N = NumHooks.load(std::memory_order_acquire);
   for (int I = N - 1; I >= 0; --I)
     if (Hooks[I].Fn)
       Hooks[I].Fn(Signal, Hooks[I].Ctx);
+  HooksState.store(HooksDone, std::memory_order_release);
 }
 
 void guard::fatalInternal(const char *Fmt, ...) {

@@ -212,7 +212,8 @@ void addCrashHook(CrashHook Fn, void *Ctx);
 void installCrashHandlers();
 
 /// Runs the registered crash hooks at most once process-wide. \p Signal
-/// is 0 for policy/internal deaths.
+/// is 0 for policy/internal deaths. A concurrent caller returns only
+/// once the hooks are done, or after a bounded wait if one wedged.
 void runCrashHooks(int Signal);
 
 /// Internal/fault-injected error: prints "sharc: fatal: ..." to stderr,

@@ -28,11 +28,13 @@
 #include "rt/Guard.h"
 #include "rt/Stats.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace sharc {
 namespace live {
@@ -105,162 +107,119 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Metric mapping — the single source of truth for how a StatsSnapshot
-// projects onto Prometheus series. Fn signature:
+// Metric mapping — how a StatsSnapshot projects onto Prometheus series,
+// read off rt::StatTable. Fn signature:
 //   Fn(family, labelKey, labelValue, value)
 // labelKey/labelValue are nullptr for label-less series.
 //===----------------------------------------------------------------------===//
 
+/// Visits the table's rows family by family, each family at its first
+/// row: exposition types a family once, before all of its series, while
+/// the table keeps the .strc order (access bytes among the check counts).
 template <typename FnT>
 inline void forEachStatMetric(const rt::StatsSnapshot &S, FnT &&Fn) {
-  // Per-kind check counts (counters).
-  Fn("sharc_checks_total", "kind", "dynamic_reads", S.DynamicReads);
-  Fn("sharc_checks_total", "kind", "dynamic_writes", S.DynamicWrites);
-  Fn("sharc_checks_total", "kind", "lock_checks", S.LockChecks);
-  Fn("sharc_checks_total", "kind", "rc_barriers", S.RcBarriers);
-  Fn("sharc_checks_total", "kind", "collections", S.Collections);
-  Fn("sharc_checks_total", "kind", "sharing_casts", S.SharingCasts);
-  // Checked access volume (counters).
-  Fn("sharc_access_bytes_total", "dir", "read", S.DynamicReadBytes);
-  Fn("sharc_access_bytes_total", "dir", "write", S.DynamicWriteBytes);
-  // Violation tallies (counters).
-  Fn("sharc_violations_total", "kind", "read_conflict", S.ReadConflicts);
-  Fn("sharc_violations_total", "kind", "write_conflict", S.WriteConflicts);
-  Fn("sharc_violations_total", "kind", "lock_violation", S.LockViolations);
-  Fn("sharc_violations_total", "kind", "cast_error", S.CastErrors);
-  // Metadata and heap footprint (gauges).
-  Fn("sharc_metadata_bytes", "kind", "shadow", S.ShadowBytes);
-  Fn("sharc_metadata_bytes", "kind", "rc_table", S.RcTableBytes);
-  Fn("sharc_metadata_bytes", "kind", "log", S.LogBytes);
-  Fn("sharc_heap_payload_bytes", nullptr, nullptr, S.HeapPayloadBytes);
-  Fn("sharc_heap_payload_peak_bytes", nullptr, nullptr,
-     S.PeakHeapPayloadBytes);
+  const rt::StatRow *Begin = std::begin(rt::StatTable);
+  const rt::StatRow *End = std::end(rt::StatTable);
+  for (const rt::StatRow *First = Begin; First != End; ++First) {
+    auto InFamily = [&](const rt::StatRow &R) {
+      return std::string_view(First->Family) == R.Family;
+    };
+    if (std::any_of(Begin, First, InFamily))
+      continue; // Visited at the family's first row.
+    for (const rt::StatRow *R = First; R != End; ++R)
+      if (InFamily(*R))
+        Fn(R->Family, R->LabelKey, R->LabelValue, S.*R->Field);
+  }
 }
 
 //===----------------------------------------------------------------------===//
 // Prometheus text exposition (version 0.0.4) and the JSON health document
 //===----------------------------------------------------------------------===//
 
-namespace detail {
-
-inline void appendSample(std::string &Out, const char *Family,
-                         const char *LabelKey, const char *LabelValue,
-                         uint64_t Value) {
-  Out += Family;
-  if (LabelKey) {
-    Out += '{';
-    Out += LabelKey;
-    Out += "=\"";
-    Out += LabelValue;
-    Out += "\"}";
-  }
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), " %llu\n",
-                static_cast<unsigned long long>(Value));
-  Out += Buf;
-}
-
-inline void appendHeader(std::string &Out, const char *Family,
-                         const char *Type, const char *Help) {
-  Out += "# HELP ";
-  Out += Family;
-  Out += ' ';
-  Out += Help;
-  Out += "\n# TYPE ";
-  Out += Family;
-  Out += ' ';
-  Out += Type;
-  Out += '\n';
-}
-
-} // namespace detail
-
 /// Renders \p S (plus \p Scrapes, the server's own scrape counter) as
 /// Prometheus text exposition. Every value is an exact integer — no
 /// floating-point formatting — so scrape-vs-trace comparisons are exact.
 inline std::string renderPrometheus(const LiveSnapshot &S, uint64_t Scrapes) {
-  using detail::appendHeader;
-  using detail::appendSample;
   std::string Out;
   Out.reserve(2048);
-
-  // The StatsSnapshot projection. Series come from forEachStatMetric —
-  // the same mapping `sharc-trace check-prom` verifies scrapes against —
-  // already grouped by family, so a header is emitted on family change.
-  // Families whose name ends in _total are counters, the rest gauges
-  // (byte footprints shrink when memory is released).
+  // Series arrive grouped by family, so a family's # HELP/# TYPE header
+  // is emitted when the family changes. Families whose name ends in
+  // _total are counters, the rest gauges (byte footprints shrink when
+  // memory is released).
   const char *LastFamily = "";
-  forEachStatMetric(S.Stats, [&](const char *Family, const char *LabelKey,
-                                 const char *LabelValue, uint64_t Value) {
+  auto Series = [&](const char *Family, const char *LabelKey,
+                    const char *LabelValue, uint64_t Value,
+                    const char *Help) {
     if (std::strcmp(Family, LastFamily) != 0) {
       size_t Len = std::strlen(Family);
       bool Counter = Len > 6 && std::strcmp(Family + Len - 6, "_total") == 0;
-      appendHeader(Out, Family, Counter ? "counter" : "gauge",
-                   "See DESIGN.md section 13 for the metric schema");
+      Out += "# HELP ";
+      Out += Family;
+      Out += ' ';
+      Out += Help;
+      Out += "\n# TYPE ";
+      Out += Family;
+      Out += Counter ? " counter\n" : " gauge\n";
       LastFamily = Family;
     }
-    appendSample(Out, Family, LabelKey, LabelValue, Value);
-  });
+    Out += Family;
+    if (LabelKey) {
+      Out += '{';
+      Out += LabelKey;
+      Out += "=\"";
+      Out += LabelValue;
+      Out += "\"}";
+    }
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), " %llu\n",
+                  static_cast<unsigned long long>(Value));
+    Out += Buf;
+  };
+  auto Plain = [&](const char *Family, uint64_t Value, const char *Help) {
+    Series(Family, nullptr, nullptr, Value, Help);
+  };
 
-  appendHeader(Out, "sharc_violations_seen_total", "counter",
-               "Violations observed including deduplicated repeats");
-  appendSample(Out, "sharc_violations_seen_total", nullptr, nullptr,
-               S.TotalViolations);
+  // The StatsSnapshot projection: the same mapping `sharc-trace
+  // check-prom` verifies scrapes against.
+  forEachStatMetric(S.Stats, [&](const char *Family, const char *LabelKey,
+                                 const char *LabelValue, uint64_t Value) {
+    Series(Family, LabelKey, LabelValue, Value,
+           "See DESIGN.md section 13 for the metric schema");
+  });
+  Plain("sharc_violations_seen_total", S.TotalViolations,
+        "Violations observed including deduplicated repeats");
 
   // Guard / watchdog state.
-  appendHeader(Out, "sharc_guard_policy", "gauge",
-               "Active violation policy (the labelled policy is 1)");
-  appendSample(Out, "sharc_guard_policy", "policy",
-               guard::policyName(S.Policy), 1);
-  appendHeader(Out, "sharc_watchdog_budget_ms", "gauge",
-               "Stall watchdog budget in milliseconds (0 = off)");
-  appendSample(Out, "sharc_watchdog_budget_ms", nullptr, nullptr,
-               S.WatchdogMillis);
-  appendHeader(Out, "sharc_stall_reports_total", "counter",
-               "StallTimeout reports filed by the watchdog");
-  appendSample(Out, "sharc_stall_reports_total", nullptr, nullptr,
-               S.StallReports);
+  Series("sharc_guard_policy", "policy", guard::policyName(S.Policy), 1,
+         "Active violation policy (the labelled policy is 1)");
+  Plain("sharc_watchdog_budget_ms", S.WatchdogMillis,
+        "Stall watchdog budget in milliseconds (0 = off)");
+  Plain("sharc_stall_reports_total", S.StallReports,
+        "StallTimeout reports filed by the watchdog");
 
   // Lock contention aggregates.
-  appendHeader(Out, "sharc_lock_acquires_total", "counter",
-               "Profiled lock acquisitions");
-  appendSample(Out, "sharc_lock_acquires_total", nullptr, nullptr,
-               S.LockAcquires);
-  appendHeader(Out, "sharc_lock_contended_total", "counter",
-               "Profiled lock acquisitions that had to wait");
-  appendSample(Out, "sharc_lock_contended_total", nullptr, nullptr,
-               S.LockContended);
-  appendHeader(Out, "sharc_lock_wait_units_total", "counter",
-               "Aggregate lock wait time (cycles or scheduler steps)");
-  appendSample(Out, "sharc_lock_wait_units_total", nullptr, nullptr,
-               S.LockWaitUnits);
-  appendHeader(Out, "sharc_lock_hold_units_total", "counter",
-               "Aggregate lock hold time (cycles or scheduler steps)");
-  appendSample(Out, "sharc_lock_hold_units_total", nullptr, nullptr,
-               S.LockHoldUnits);
+  Plain("sharc_lock_acquires_total", S.LockAcquires,
+        "Profiled lock acquisitions");
+  Plain("sharc_lock_contended_total", S.LockContended,
+        "Profiled lock acquisitions that had to wait");
+  Plain("sharc_lock_wait_units_total", S.LockWaitUnits,
+        "Aggregate lock wait time (cycles or scheduler steps)");
+  Plain("sharc_lock_hold_units_total", S.LockHoldUnits,
+        "Aggregate lock hold time (cycles or scheduler steps)");
 
   // Engine state.
-  appendHeader(Out, "sharc_cast_drain_queue_depth", "gauge",
-               "Deferred-free blocks awaiting the next RC collection");
-  appendSample(Out, "sharc_cast_drain_queue_depth", nullptr, nullptr,
-               S.CastDrainQueueDepth);
-  appendHeader(Out, "sharc_threads_live", "gauge",
-               "Threads currently registered/runnable");
-  appendSample(Out, "sharc_threads_live", nullptr, nullptr, S.ThreadsLive);
-  appendHeader(Out, "sharc_threads_spawned_total", "counter",
-               "Threads ever spawned");
-  appendSample(Out, "sharc_threads_spawned_total", nullptr, nullptr,
-               S.ThreadsSpawned);
-  appendHeader(Out, "sharc_steps_total", "counter",
-               "Interpreter scheduler steps (0 for the native runtime)");
-  appendSample(Out, "sharc_steps_total", nullptr, nullptr, S.Steps);
-  appendHeader(Out, "sharc_run_active", "gauge",
-               "1 while the checked run is in progress, 0 once finished");
-  appendSample(Out, "sharc_run_active", nullptr, nullptr,
-               S.Running ? 1 : 0);
-  appendHeader(Out, "sharc_scrapes_total", "counter",
-               "Scrapes served by this endpoint, this one included");
-  appendSample(Out, "sharc_scrapes_total", nullptr, nullptr, Scrapes);
+  Plain("sharc_cast_drain_queue_depth", S.CastDrainQueueDepth,
+        "Deferred-free blocks awaiting the next RC collection");
+  Plain("sharc_threads_live", S.ThreadsLive,
+        "Threads currently registered/runnable");
+  Plain("sharc_threads_spawned_total", S.ThreadsSpawned,
+        "Threads ever spawned");
+  Plain("sharc_steps_total", S.Steps,
+        "Interpreter scheduler steps (0 for the native runtime)");
+  Plain("sharc_run_active", S.Running ? 1 : 0,
+        "1 while the checked run is in progress, 0 once finished");
+  Plain("sharc_scrapes_total", Scrapes,
+        "Scrapes served by this endpoint, this one included");
   return Out;
 }
 

@@ -20,7 +20,7 @@ void RefCountEngine::storePtr(uintptr_t *Slot, uintptr_t New,
     std::atomic_ref<uintptr_t>(*Slot).store(New, std::memory_order_release);
     return;
   case RcMode::Atomic: {
-    Stats.RcBarriers.fetch_add(1, std::memory_order_relaxed);
+    Stats[Stat::RcBarriers].fetch_add(1, std::memory_order_relaxed);
     uintptr_t Old = std::atomic_ref<uintptr_t>(*Slot).exchange(
         New, std::memory_order_acq_rel);
     if (Old)
@@ -30,7 +30,7 @@ void RefCountEngine::storePtr(uintptr_t *Slot, uintptr_t New,
     return;
   }
   case RcMode::LevanoniPetrank:
-    Stats.RcBarriers.fetch_add(1, std::memory_order_relaxed);
+    Stats[Stat::RcBarriers].fetch_add(1, std::memory_order_relaxed);
     storeLevanoniPetrank(Slot, New, TS);
     return;
   }
@@ -70,7 +70,7 @@ void RefCountEngine::collect(ThreadState &TS) {
 }
 
 void RefCountEngine::collectLocked() {
-  Stats.Collections.fetch_add(1, std::memory_order_relaxed);
+  Stats[Stat::Collections].fetch_add(1, std::memory_order_relaxed);
 
   // Hold the registry's structural lock for the whole collection so the
   // set of thread states is stable across all passes. Threads trying to

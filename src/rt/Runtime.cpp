@@ -282,13 +282,13 @@ bool Runtime::checkLockHeld(const void *Lock, const void *Addr,
                             const AccessSite *Site, LockMode Need) {
   ThreadState &TS = currentThread();
   return timed(TS, Site, obs::CheckKind::LockCheck, 0, [&] {
-    Stats.LockChecks.fetch_add(1, std::memory_order_relaxed);
+    Stats[Stat::LockChecks].fetch_add(1, std::memory_order_relaxed);
     if (TS.Locks.holds(Lock, Need))
       return true;
     if (Config.Guard.OnViolation == guard::Policy::Quarantine &&
         isAddrQuarantined(Addr))
       return true;
-    Stats.LockViolations.fetch_add(1, std::memory_order_relaxed);
+    Stats[Stat::LockViolations].fetch_add(1, std::memory_order_relaxed);
     ConflictReport Report;
     Report.Kind = ReportKind::LockViolation;
     Report.Address = reinterpret_cast<uintptr_t>(Addr);
@@ -366,7 +366,7 @@ bool Runtime::checkCast(void *Obj, size_t ObjSize, const AccessSite *Site) {
 
 bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
                             const AccessSite *Site) {
-  Stats.SharingCasts.fetch_add(1, std::memory_order_relaxed);
+  Stats[Stat::SharingCasts].fetch_add(1, std::memory_order_relaxed);
   if (!Obj)
     return true;
   // After the source has been nulled and accounted, any remaining counted
@@ -390,7 +390,7 @@ bool Runtime::checkCastImpl(ThreadState &TS, void *Obj, size_t ObjSize,
     publishEvent(obs::EventKind::SharingCast, Obj, Count);
   bool Ok = Count <= 0 || Config.Rc == RcMode::None;
   if (!Ok) {
-    Stats.CastErrors.fetch_add(1, std::memory_order_relaxed);
+    Stats[Stat::CastErrors].fetch_add(1, std::memory_order_relaxed);
     ConflictReport Report;
     Report.Kind = ReportKind::CastError;
     Report.Address = reinterpret_cast<uintptr_t>(Obj);
@@ -430,13 +430,13 @@ StatsSnapshot Runtime::computeStats() {
   uint64_t LogBytes = 0;
   Registry.forEachState(
       [&](ThreadState &S) { LogBytes += S.memoryFootprint(); });
-  Stats.LogBytes.store(LogBytes, std::memory_order_relaxed);
+  Stats[Stat::LogBytes].store(LogBytes, std::memory_order_relaxed);
   // Count the reference-count table by *touched* entries: the analog of
   // the paper's minor-pagefault measure (untouched table slots never
   // fault in).
   if (Config.Rc != RcMode::None)
-    Stats.RcTableBytes.store(Rc->getTable().getNumEntries() * 16,
-                             std::memory_order_relaxed);
+    Stats[Stat::RcTableBytes].store(Rc->getTable().getNumEntries() * 16,
+                                    std::memory_order_relaxed);
   return Stats.snapshot();
 }
 

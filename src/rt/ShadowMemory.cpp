@@ -101,8 +101,8 @@ ShadowMemory::Page *ShadowMemory::getOrCreatePage(uintptr_t PageBase) {
     Raw->Next.store(Expected, std::memory_order_relaxed);
     if (Head.compare_exchange_weak(Expected, Raw, std::memory_order_release,
                                    std::memory_order_acquire)) {
-      Stats.ShadowBytes.fetch_add(CellBytes + DiagBytes + sizeof(Page),
-                                  std::memory_order_relaxed);
+      Stats[Stat::ShadowBytes].fetch_add(
+          CellBytes + DiagBytes + sizeof(Page), std::memory_order_relaxed);
       NewPage.release();
       return Raw;
     }
@@ -213,9 +213,9 @@ void ShadowMemory::reportConflict(bool IsWrite, uintptr_t Addr,
     Report.LastWasWrite = D.LastWasWrite.load(std::memory_order_relaxed) != 0;
   }
   if (IsWrite)
-    Stats.WriteConflicts.fetch_add(1, std::memory_order_relaxed);
+    Stats[Stat::WriteConflicts].fetch_add(1, std::memory_order_relaxed);
   else
-    Stats.ReadConflicts.fetch_add(1, std::memory_order_relaxed);
+    Stats[Stat::ReadConflicts].fetch_add(1, std::memory_order_relaxed);
   if (guard::onViolation(Config.Guard, Report, Sink) ==
       guard::Verdict::Quarantine)
     quarantineGranule(Addr);
@@ -233,9 +233,9 @@ void ShadowMemory::quarantineGranule(uintptr_t GranuleAddr) {
 
 bool ShadowMemory::checkRead(const void *Addr, size_t Size, ThreadState &TS,
                              const AccessSite *Site) {
-  Stats.DynamicReads.fetch_add(1, std::memory_order_relaxed);
-  Stats.DynamicReadBytes.fetch_add(Size ? Size : 1,
-                                   std::memory_order_relaxed);
+  Stats[Stat::DynamicReads].fetch_add(1, std::memory_order_relaxed);
+  Stats[Stat::DynamicReadBytes].fetch_add(Size ? Size : 1,
+                                          std::memory_order_relaxed);
   return withWord([&](auto W) {
     return checkAccessImpl<decltype(W)>(reinterpret_cast<uintptr_t>(Addr),
                                         Size, /*IsWrite=*/false, TS, Site);
@@ -244,9 +244,9 @@ bool ShadowMemory::checkRead(const void *Addr, size_t Size, ThreadState &TS,
 
 bool ShadowMemory::checkWrite(const void *Addr, size_t Size, ThreadState &TS,
                               const AccessSite *Site) {
-  Stats.DynamicWrites.fetch_add(1, std::memory_order_relaxed);
-  Stats.DynamicWriteBytes.fetch_add(Size ? Size : 1,
-                                    std::memory_order_relaxed);
+  Stats[Stat::DynamicWrites].fetch_add(1, std::memory_order_relaxed);
+  Stats[Stat::DynamicWriteBytes].fetch_add(Size ? Size : 1,
+                                           std::memory_order_relaxed);
   return withWord([&](auto W) {
     return checkAccessImpl<decltype(W)>(reinterpret_cast<uintptr_t>(Addr),
                                         Size, /*IsWrite=*/true, TS, Site);

@@ -160,6 +160,11 @@ TEST(GuardFaultTest, ParseRejectsMalformed) {
   EXPECT_FALSE(guard::parseFaults("torn-write:", F, Error));
   EXPECT_FALSE(guard::parseFaults("oom:1,,crash:2", F, Error));
   EXPECT_NE(Error.find("empty"), std::string::npos);
+  // Counts past 2^64 - 1 are rejected, not wrapped: 2^64 + 1 must not
+  // arm oom:1, nor a 21-digit count some other torn-write length.
+  EXPECT_FALSE(guard::parseFaults("oom:18446744073709551617", F, Error));
+  EXPECT_FALSE(
+      guard::parseFaults("torn-write:100000000000000000000", F, Error));
 }
 
 //===----------------------------------------------------------------------===//
@@ -231,6 +236,52 @@ TEST(GuardDeathTest, AbortPolicyPrintsAndDies) {
   Config.OnViolation = guard::Policy::Abort;
   ConflictReport R = makeReport(ReportKind::ReadConflict, 0x3000);
   EXPECT_DEATH(guard::onViolation(Config, R, Sink), "read conflict");
+}
+
+namespace {
+std::atomic<bool> SlowHookStarted{false};
+std::atomic<bool> SlowHookDone{false};
+
+void slowHook(int, void *) {
+  SlowHookStarted = true;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  SlowHookDone = true;
+}
+
+/// Two threads die at once. The one that loses the race for the hooks
+/// must not go on to end the process while the winner is mid-flush.
+[[noreturn]] void dieOnTwoThreads() {
+  guard::addCrashHook(slowHook, nullptr);
+  std::thread First([] { guard::runCrashHooks(0); });
+  while (!SlowHookStarted)
+    std::this_thread::yield();
+  guard::runCrashHooks(0);
+  bool Done = SlowHookDone;
+  First.join();
+  std::_Exit(Done ? 0 : 1);
+}
+
+void reenteringHook(int, void *) { guard::runCrashHooks(0); }
+
+/// A hook that itself dies re-enters on its own thread: that call must
+/// return at once rather than wait for the hooks it is part of.
+[[noreturn]] void dieInsideAHook() {
+  guard::addCrashHook(reenteringHook, nullptr);
+  auto Start = std::chrono::steady_clock::now();
+  guard::runCrashHooks(0);
+  auto Took = std::chrono::steady_clock::now() - Start;
+  std::_Exit(Took < std::chrono::seconds(1) ? 0 : 1);
+}
+} // namespace
+
+TEST(GuardDeathTest, LaterCrashHookCallerWaitsForTheFirst) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(dieOnTwoThreads(), testing::ExitedWithCode(0), "");
+}
+
+TEST(GuardDeathTest, CrashHookReentryDoesNotWait) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(dieInsideAHook(), testing::ExitedWithCode(0), "");
 }
 
 TEST(GuardDeathTest, FatalInternalExitsThree) {
